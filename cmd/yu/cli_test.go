@@ -6,10 +6,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/yu-verify/yu"
+	"github.com/yu-verify/yu/internal/canon"
 )
 
 const testSpec = "../../testdata/motivating.yu"
@@ -217,5 +219,42 @@ func TestRunVerifyBadSpec(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := runVerify(cfg, &stdout, &stderr); code != 1 {
 		t.Fatalf("runVerify on missing spec = %d, want 1", code)
+	}
+}
+
+// TestRunVerifyKZero: an explicit -k 0 verifies the no-failure baseline
+// instead of falling back to the spec's budget (k 1 here): the report
+// equals the library's KSet, K 0 run byte for byte, names no failure
+// witness, and differs from the run without -k.
+func TestRunVerifyKZero(t *testing.T) {
+	run := func(args ...string) string {
+		t.Helper()
+		cfg, err := parseVerifyFlags(append(args, testSpec), flag.ContinueOnError)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := runVerify(cfg, &stdout, &stderr); code != 1 {
+			t.Fatalf("runVerify %v = %d, want 1 (violations)\nstderr:\n%s", args, code, &stderr)
+		}
+		return stdout.String()
+	}
+	zero := run("-k", "0", "-overload", "0.6", "-workers", "1", "-canon")
+	n, err := yu.LoadFile(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := n.Verify(yu.VerifyOptions{K: 0, KSet: true, OverloadFactor: 0.6, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := canon.FormatReport(n.Topology(), rep); zero != want {
+		t.Errorf("-k 0 report:\n%s\nwant the KSet, K 0 report:\n%s", zero, want)
+	}
+	if strings.Contains(zero, "when link") || strings.Contains(zero, "when router") {
+		t.Errorf("-k 0 report names a failure witness:\n%s", zero)
+	}
+	if spec := run("-overload", "0.6", "-workers", "1", "-canon"); spec == zero {
+		t.Errorf("-k 0 and the spec's k=1 give the same report:\n%s", zero)
 	}
 }

@@ -31,8 +31,8 @@ import (
 
 	"github.com/yu-verify/yu"
 	"github.com/yu-verify/yu/internal/canon"
-	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/concrete"
+	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -69,6 +69,7 @@ func usage() {
 // error (exit 2) before the spec file is even opened.
 type verifyConfig struct {
 	k          int
+	kSet       bool // -k was given explicitly (so -k 0 means no failures)
 	overload   float64
 	noKReduce  bool
 	noEquiv    bool
@@ -100,7 +101,7 @@ func parseVerifyFlags(args []string, eh flag.ErrorHandling) (*verifyConfig, erro
 		onBudget: yu.BudgetFail,
 	}
 	fs := flag.NewFlagSet("verify", eh)
-	fs.IntVar(&cfg.k, "k", 0, "failure budget (0 = use the spec's)")
+	fs.IntVar(&cfg.k, "k", 0, "failure budget (default: the spec's; -k 0 verifies the no-failure baseline)")
 	fs.Func("mode", "failure mode: links, routers, or both (default: spec's)", func(s string) error {
 		switch s {
 		case "links":
@@ -165,6 +166,11 @@ func parseVerifyFlags(args []string, eh flag.ErrorHandling) (*verifyConfig, erro
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "k" {
+			cfg.kSet = true
+		}
+	})
 	if fs.NArg() != 1 {
 		fs.Usage()
 		err := fmt.Errorf("verify: expected exactly one spec file, got %d arguments", fs.NArg())
@@ -273,6 +279,7 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 
 	opts := yu.VerifyOptions{
 		K:                     cfg.k,
+		KSet:                  cfg.kSet,
 		OverloadFactor:        cfg.overload,
 		DisableKReduce:        cfg.noKReduce,
 		DisableLinkLocalEquiv: cfg.noEquiv,

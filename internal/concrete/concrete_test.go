@@ -5,8 +5,8 @@ import (
 	"net/netip"
 	"testing"
 
-	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/concrete"
+	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/paperex"

@@ -15,16 +15,16 @@ import (
 // pendingTLP is one parsed-but-unresolved `tlp` line; router names are
 // resolved against the network once it exists.
 type pendingTLP struct {
-	kind         string // "link", "dirlink", "util", "delivered", "ratio", "sumload", "maxload"
-	a, b         string // subject link endpoints (link/dirlink/util)
-	directed     bool   // subject named one direction (A->B)
-	allLinks     bool   // util without a subject link
-	setName      string // subject linkset (sumload/maxload)
-	pfx          netip.Prefix
-	min, max     float64
-	factor       float64
-	cond         bool
-	condA, condB string
+	kind     string // "link", "dirlink", "util", "delivered", "ratio", "sumload", "maxload"
+	link     string // subject link name "A-B" (link/util), resolved by LinkByName
+	a, b     string // subject direction endpoints (dirlink, util dirlink)
+	directed bool   // subject named one direction (A->B)
+	allLinks bool   // util without a subject link
+	setName  string // subject linkset (sumload/maxload)
+	pfx      netip.Prefix
+	min, max float64
+	factor   float64
+	condLink string // if-failed link name "C-D"; empty when unconditional
 }
 
 // parseTLPLine parses the fields after the `tlp` keyword:
@@ -46,11 +46,10 @@ func parseTLPLine(f []string) (pendingTLP, error) {
 	pt.kind = f[0]
 	switch f[0] {
 	case "link":
-		a, b, ok := splitLinkName(f[1])
-		if !ok {
+		if !validLinkName(f[1]) {
 			return pt, fmt.Errorf("bad link %q, want A-B", f[1])
 		}
-		pt.a, pt.b = a, b
+		pt.link = f[1]
 	case "dirlink":
 		a, b, ok := splitDirLinkName(f[1])
 		if !ok {
@@ -98,11 +97,10 @@ func parseTLPLine(f []string) (pendingTLP, error) {
 			if pt.kind != "util" {
 				return pt, fmt.Errorf("option %q is only valid on tlp util", rest[0])
 			}
-			a, b, ok := splitLinkName(rest[1])
-			if !ok {
+			if !validLinkName(rest[1]) {
 				return pt, fmt.Errorf("bad link %q, want A-B", rest[1])
 			}
-			pt.a, pt.b, pt.allLinks = a, b, false
+			pt.link, pt.allLinks = rest[1], false
 		case "dirlink":
 			if pt.kind != "util" {
 				return pt, fmt.Errorf("option %q is only valid on tlp util", rest[0])
@@ -113,11 +111,10 @@ func parseTLPLine(f []string) (pendingTLP, error) {
 			}
 			pt.a, pt.b, pt.directed, pt.allLinks = a, b, true, false
 		case "if-failed":
-			a, b, ok := splitLinkName(rest[1])
-			if !ok {
+			if !validLinkName(rest[1]) {
 				return pt, fmt.Errorf("bad if-failed link %q, want C-D", rest[1])
 			}
-			pt.cond, pt.condA, pt.condB = true, a, b
+			pt.condLink = rest[1]
 		default:
 			return pt, fmt.Errorf("unknown tlp option %q", rest[0])
 		}
@@ -129,17 +126,54 @@ func parseTLPLine(f []string) (pendingTLP, error) {
 	return pt, nil
 }
 
-// splitLinkName splits "A-B"; dirlink arrows are rejected so "A->B" is not
-// silently read as the link "A>"-"B".
-func splitLinkName(s string) (a, b string, ok bool) {
-	if strings.Contains(s, "->") {
-		return "", "", false
+// validLinkName reports whether s has the shape of a link name "A-B":
+// a '-' with a name on each side. Dirlink arrows are rejected so "A->B"
+// is not silently read as a link. Where to split is decided against the
+// network by LinkByName, because router names may contain '-'.
+func validLinkName(s string) bool {
+	return len(s) >= 3 && !strings.Contains(s, "->") && strings.Contains(s[1:len(s)-1], "-")
+}
+
+// LinkByName resolves a link name "A-B" against the network. Router names
+// may contain '-' themselves (gen.WAN names its routers rN-asM), so every
+// '-' is a candidate split point: the name must split at exactly one of
+// them into two routers joined by a link. No such split is an unknown
+// link; more than one is an ambiguity, reported with every candidate.
+func LinkByName(net *topo.Network, name string) (*topo.Link, error) {
+	var found *topo.Link
+	var cands []string
+	for i := 1; i < len(name)-1; i++ {
+		if name[i] != '-' {
+			continue
+		}
+		if l, ok := net.FindLink(name[:i], name[i+1:]); ok {
+			found = l
+			cands = append(cands, fmt.Sprintf("%q-%q", name[:i], name[i+1:]))
+		}
 	}
-	parts := strings.SplitN(s, "-", 2)
-	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
-		return "", "", false
+	switch len(cands) {
+	case 0:
+		return nil, fmt.Errorf("no link %s", name)
+	case 1:
+		return found, nil
 	}
-	return parts[0], parts[1], true
+	return nil, fmt.Errorf("ambiguous link %s: it splits into linked routers %s", name, strings.Join(cands, ", "))
+}
+
+// findLinks resolves the member names of a linkset.
+func findLinks(net *topo.Network, names []string) ([]topo.LinkID, error) {
+	links := make([]topo.LinkID, 0, len(names))
+	for _, name := range names {
+		if !validLinkName(name) {
+			return nil, fmt.Errorf("bad link %q, want A-B", name)
+		}
+		l, err := LinkByName(net, name)
+		if err != nil {
+			return nil, err
+		}
+		links = append(links, l.ID)
+	}
+	return links, nil
 }
 
 func splitDirLinkName(s string) (a, b string, ok bool) {
@@ -183,25 +217,24 @@ func resolveTLP(net *topo.Network, sets map[string][]topo.LinkID, pt pendingTLP)
 		return prop, fmt.Errorf("unknown tlp kind %q", pt.kind)
 	}
 	prop.Min, prop.Max = pt.min, pt.max
-	if pt.a != "" {
-		if pt.directed {
-			d, ok := net.FindDirLink(pt.a, pt.b)
-			if !ok {
-				return prop, fmt.Errorf("no link %s->%s", pt.a, pt.b)
-			}
-			prop.Link, prop.Dir, prop.DirSpecified = d.Link(), d.Dir(), true
-		} else {
-			l, ok := net.FindLink(pt.a, pt.b)
-			if !ok {
-				return prop, fmt.Errorf("no link %s-%s", pt.a, pt.b)
-			}
-			prop.Link = l.ID
-		}
-	}
-	if pt.cond {
-		l, ok := net.FindLink(pt.condA, pt.condB)
+	switch {
+	case pt.directed:
+		d, ok := net.FindDirLink(pt.a, pt.b)
 		if !ok {
-			return prop, fmt.Errorf("no if-failed link %s-%s", pt.condA, pt.condB)
+			return prop, fmt.Errorf("no link %s->%s", pt.a, pt.b)
+		}
+		prop.Link, prop.Dir, prop.DirSpecified = d.Link(), d.Dir(), true
+	case pt.link != "":
+		l, err := LinkByName(net, pt.link)
+		if err != nil {
+			return prop, err
+		}
+		prop.Link = l.ID
+	}
+	if pt.condLink != "" {
+		l, err := LinkByName(net, pt.condLink)
+		if err != nil {
+			return prop, fmt.Errorf("if-failed: %w", err)
 		}
 		prop.CondSet, prop.CondLink = true, l.ID
 	}
@@ -237,17 +270,9 @@ func ParsePortfolio(r io.Reader, net *topo.Network) ([]topo.TLProp, error) {
 			if _, dup := sets[fields[1]]; dup {
 				return nil, fmt.Errorf("line %d: duplicate linkset %q", lineno, fields[1])
 			}
-			var links []topo.LinkID
-			for _, lname := range fields[2:] {
-				a, b, ok := splitLinkName(lname)
-				if !ok {
-					return nil, fmt.Errorf("line %d: bad link %q, want A-B", lineno, lname)
-				}
-				l, lok := net.FindLink(a, b)
-				if !lok {
-					return nil, fmt.Errorf("line %d: no link %s-%s", lineno, a, b)
-				}
-				links = append(links, l.ID)
+			links, err := findLinks(net, fields[2:])
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %w", lineno, err)
 			}
 			sets[fields[1]] = links
 			continue

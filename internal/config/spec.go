@@ -132,7 +132,8 @@ type pendingLinkset struct {
 }
 
 type pendingProp struct {
-	a, b      string
+	link      string // link name "A-B", resolved by LinkByName
+	a, b      string // dirlink endpoints
 	directed  bool
 	delivered netip.Prefix
 	min, max  float64
@@ -484,11 +485,10 @@ func (p *specParser) property(f []string) error {
 	pr := pendingProp{min: 0, max: math.Inf(1)}
 	switch f[0] {
 	case "link":
-		parts := strings.SplitN(f[1], "-", 2)
-		if len(parts) != 2 {
+		if !validLinkName(f[1]) {
 			return fmt.Errorf("bad link %q, want A-B", f[1])
 		}
-		pr.a, pr.b = parts[0], parts[1]
+		pr.link = f[1]
 	case "dirlink":
 		parts := strings.SplitN(f[1], "->", 2)
 		if len(parts) != 2 {
@@ -597,9 +597,9 @@ func (p *specParser) finish() (*Spec, error) {
 				Link: d.Link(), Dir: d.Dir(), DirSpecified: true, Min: pp.min, Max: pp.max,
 			})
 		} else {
-			l, ok := net.FindLink(pp.a, pp.b)
-			if !ok {
-				return nil, fmt.Errorf("property: no link %s-%s", pp.a, pp.b)
+			l, err := LinkByName(net, pp.link)
+			if err != nil {
+				return nil, fmt.Errorf("property: %w", err)
 			}
 			spec.Props = append(spec.Props, topo.LoadBound{Link: l.ID, Min: pp.min, Max: pp.max})
 		}
@@ -616,17 +616,9 @@ func (p *specParser) finish() (*Spec, error) {
 		spec.Domains[pd.name] = pd.routers
 	}
 	for _, pl := range p.linksets {
-		var links []topo.LinkID
-		for _, lname := range pl.links {
-			a, b, ok := splitLinkName(lname)
-			if !ok {
-				return nil, fmt.Errorf("linkset %s: bad link %q, want A-B", pl.name, lname)
-			}
-			l, lok := net.FindLink(a, b)
-			if !lok {
-				return nil, fmt.Errorf("linkset %s: no link %s-%s", pl.name, a, b)
-			}
-			links = append(links, l.ID)
+		links, err := findLinks(net, pl.links)
+		if err != nil {
+			return nil, fmt.Errorf("linkset %s: %w", pl.name, err)
 		}
 		if spec.LinkSets == nil {
 			spec.LinkSets = make(map[string][]topo.LinkID)

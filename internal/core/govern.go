@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -21,6 +22,16 @@ func installGovernance(m *mtbdd.Manager, opts Options) {
 	if opts.NodeBudget > 0 {
 		m.SetNodeBudget(opts.NodeBudget)
 	}
+}
+
+// SetContext rebinds the engine's cancellation context: the one its
+// manager polls and the per-flow and per-link boundaries check. A run
+// prepared once can then answer later queries, each bounded by its own
+// context.
+func (e *Engine) SetContext(ctx context.Context) {
+	e.opts.Ctx = ctx
+	e.m.SetInterrupt(nil)
+	installGovernance(e.m, e.opts)
 }
 
 // contained runs fn with full panic containment: an MTBDD operation

@@ -54,6 +54,29 @@ func RecordManager(reg *obs.Registry, name string, m *mtbdd.Manager) {
 	reg.RecordManager(ManagerObsStats(name, m))
 }
 
+// RecordManagerSince records what m did since *since (the zero value for
+// a fresh manager) and advances *since: a manager that answers several
+// queries is recorded once per query, each record counting only that
+// query's work. Live, peak, and probe figures stay absolute.
+func RecordManagerSince(reg *obs.Registry, name string, m *mtbdd.Manager, since *obs.ManagerStats) {
+	if reg == nil {
+		return
+	}
+	cur := ManagerObsStats(name, m)
+	d := cur
+	d.Created -= since.Created
+	d.GCRuns -= since.GCRuns
+	d.KReduceCalls -= since.KReduceCalls
+	d.FusionCuts -= since.FusionCuts
+	d.Caches = make(map[string]obs.CacheCounters, len(cur.Caches))
+	for k, c := range cur.Caches {
+		prev := since.Caches[k]
+		d.Caches[k] = obs.CacheCounters{Hits: c.Hits - prev.Hits, Misses: c.Misses - prev.Misses}
+	}
+	reg.RecordManager(d)
+	*since = cur
+}
+
 // workerCounter names a per-worker counter: "worker.3.flows_executed".
 func workerCounter(w int, name string) string {
 	return "worker." + strconv.Itoa(w) + "." + name

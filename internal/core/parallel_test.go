@@ -92,7 +92,9 @@ func runBoth(t *testing.T, name string, spec *config.Spec, flows []topo.Flow, mo
 	seq := mustRun(t, func() (*Report, error) { return NewVerifier(seqEng, flows).Run(spec.Props, delivered, overload) })
 
 	parEng := buildEngine(t, spec, mode, k, opts)
-	par := mustRun(t, func() (*Report, error) { return NewParallelVerifier(parEng, flows, 4).Run(spec.Props, delivered, overload) })
+	par := mustRun(t, func() (*Report, error) {
+		return NewParallelVerifier(parEng, flows, 4).Run(spec.Props, delivered, overload)
+	})
 
 	reportsEqual(t, name, seq, par)
 }

@@ -1,6 +1,7 @@
 // The incremental-vs-cold oracle: random delta sequences applied through
 // the daemon (internal/serve) must leave its report byte-identical to a
-// cold full verification of the final specification. This is the
+// cold full verification of the final specification, and every version's
+// portfolio answer to a cold portfolio evaluation. This is the
 // end-to-end defense of the warm-cache soundness argument — if the
 // content-hash invalidation ever under-approximates what a delta dirties,
 // the stale class's numbers leak into the report and the byte comparison
@@ -8,9 +9,11 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"strings"
 
 	"github.com/yu-verify/yu"
 	"github.com/yu-verify/yu/internal/canon"
@@ -248,11 +251,65 @@ func sortedConfigNames(cfgs config.Configs) []string {
 	return names
 }
 
+// deltaPortfolio is the portfolio the delta oracle queries on every
+// version: all-links utilization, a ratio bound per delivered prefix,
+// and one conditional link bound. Deltas never change the topology, so
+// the text resolves on every version.
+func deltaPortfolio(spec *config.Spec) string {
+	var b strings.Builder
+	b.WriteString("tlp util 0.8\n")
+	for _, d := range spec.Delivered {
+		fmt.Fprintf(&b, "tlp ratio %s min 0.9\n", d.Prefix)
+	}
+	if net := spec.Net; net.NumLinks() >= 2 {
+		fmt.Fprintf(&b, "tlp link %s max %g if-failed %s\n",
+			net.LinkName(0), net.Link(0).Capacity/2, net.LinkName(1))
+	}
+	return b.String()
+}
+
+// checkPortfolio holds the daemon's portfolio answer for its current
+// version to a cold VerifyPortfolio of that version's canonical text,
+// byte for byte.
+func checkPortfolio(c *Case, s *serve.Server, portfolio string) error {
+	res, err := s.EvalPortfolioCtx(context.Background(), portfolio)
+	if err != nil {
+		return fmt.Errorf("deltas: portfolio: %w", err)
+	}
+	if res.Err != nil {
+		return fmt.Errorf("deltas: portfolio of version %d: %w", res.Version, res.Err)
+	}
+	text, id := s.SpecText()
+	if id != res.Version {
+		return fmt.Errorf("deltas: portfolio cites version %d, current is %d", res.Version, id)
+	}
+	spec, err := config.ParseSpecString(text)
+	if err != nil {
+		return fmt.Errorf("deltas: version %d does not parse: %w", id, err)
+	}
+	props, err := config.ParsePortfolioString(portfolio, spec.Net)
+	if err != nil {
+		return fmt.Errorf("deltas: portfolio on version %d: %w", id, err)
+	}
+	cold, err := yu.FromSpec(spec).VerifyPortfolio(props, yu.VerifyOptions{
+		K: c.K, Mode: c.Mode, ModeSet: true, Workers: 1,
+	})
+	if err != nil {
+		return fmt.Errorf("deltas: cold portfolio: %w", err)
+	}
+	if want := canon.FormatPortfolio(spec.Net, cold); res.Text != want {
+		return fmt.Errorf("deltas: portfolio of version %d diverges from cold\n--- daemon\n%s\n--- cold\n%s", id, res.Text, want)
+	}
+	return nil
+}
+
 // CheckDeltas is the incremental-vs-cold oracle: starting from the
 // case's spec, apply n random deltas one at a time through a daemon
-// (re-verifying after each), then require the final daemon report to be
-// byte-identical to (a) a cold full verification of the final canonical
-// text and (b) a second, fresh daemon given the final text directly.
+// (re-verifying after each, and querying a portfolio on every version
+// against a cold VerifyPortfolio of it), then require the final daemon
+// report to be byte-identical to (a) a cold full verification of the
+// final canonical text and (b) a second, fresh daemon given the final
+// text directly.
 func CheckDeltas(c *Case, rng *rand.Rand, n int) error {
 	text0, err := canon.FormatSpec(c.Spec)
 	if err != nil {
@@ -272,11 +329,22 @@ func CheckDeltas(c *Case, rng *rand.Rand, n int) error {
 	if err != nil {
 		return fmt.Errorf("deltas: reparse: %w", err)
 	}
+	portfolio := deltaPortfolio(spec0)
+	if err := checkPortfolio(c, s, portfolio); err != nil {
+		return err
+	}
 	deltas := GenDeltas(rng, spec0, n)
 	var last serve.RunResult
 	for i, d := range deltas {
 		if _, err := s.ApplyDeltas([]serve.Delta{d}); err != nil {
 			return fmt.Errorf("deltas: delta %d rejected (generator contract broken): %w", i, err)
+		}
+		// Odd versions answer the portfolio before the report, so both
+		// orders of the two queries on one run are held to cold.
+		if i%2 == 1 {
+			if err := checkPortfolio(c, s, portfolio); err != nil {
+				return fmt.Errorf("after delta %d: %w", i, err)
+			}
 		}
 		last, err = s.Report()
 		if err != nil {
@@ -284,6 +352,11 @@ func CheckDeltas(c *Case, rng *rand.Rand, n int) error {
 		}
 		if last.Err != nil {
 			return fmt.Errorf("deltas: verify after delta %d: %w", i, last.Err)
+		}
+		if i%2 == 0 {
+			if err := checkPortfolio(c, s, portfolio); err != nil {
+				return fmt.Errorf("after delta %d: %w", i, err)
+			}
 		}
 	}
 	finalText, _ := s.SpecText()

@@ -293,7 +293,8 @@ var knownCaches = []string{"apply", "kreduce", "neg", "range", "import", "fused"
 // startup so `GET /v1/metrics` consumers can rely on the keys existing
 // even at zero — the same schema guarantee knownCaches gives the MTBDD
 // cache block. Reload latency is recorded under the "serve.reload"
-// timer, per-run verification time under the "verify" phase.
+// timer, each version's symbolic run under the "verify" phase, its
+// report checks under "report", and portfolio queries under "tlp".
 var ServeCounterNames = []string{
 	"serve.class_cache_hits",   // equivalence classes served from the warm STF cache
 	"serve.class_cache_misses", // classes that had to be (re-)executed

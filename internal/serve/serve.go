@@ -106,18 +106,53 @@ type RunResult struct {
 }
 
 // version is one immutable published state: canonical spec text, the
-// parsed spec, and the lazily computed verification result. All fields
-// except the once-guarded result are written before publication and never
-// after.
+// parsed spec, and two lazily computed stages. The prepare stage is the
+// version's one symbolic run (route simulation plus execution through
+// the warm STF cache); the report stage checks the spec's properties on
+// it, and every portfolio query on the version is evaluated on it too.
+// All other fields are written before publication and never after; the
+// stage outputs are written once, before their stage's done channel
+// closes.
 type version struct {
 	id   int64
 	text string
 	spec *config.Spec
 	srv  *Server
 
-	once   sync.Once
-	done   chan struct{}
+	prep stage
+	run  *yu.Prepared // nil when the run failed outright (runErr)
+	// runErr is the error of a run that produced no handle: an injected
+	// fault, a contained panic, or a non-governance route-sim error.
+	runErr error
+	stats  RunStats
+
+	report stage
 	result RunResult
+}
+
+// stage is a once-guarded computation on its own goroutine: callers
+// bound their wait, and the computation keeps running for later callers
+// when a wait expires.
+type stage struct {
+	once sync.Once
+	done chan struct{}
+}
+
+// wait starts fn at most once and waits for it until ctx expires.
+func (st *stage) wait(ctx context.Context, fn func()) error {
+	st.once.Do(func() {
+		st.done = make(chan struct{})
+		go func() {
+			defer close(st.done)
+			fn()
+		}()
+	})
+	select {
+	case <-st.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Server is the resident verification service. Mutations (LoadSpecText,
@@ -390,7 +425,7 @@ func (s *Server) buildVersion(text string) (*version, error) {
 		}
 		text, spec = ct, cspec
 	}
-	return &version{id: s.nextID.Add(1), text: text, spec: spec, srv: s, done: make(chan struct{})}, nil
+	return &version{id: s.nextID.Add(1), text: text, spec: spec, srv: s}, nil
 }
 
 func (s *Server) publish(v *version) {
@@ -413,77 +448,83 @@ func (s *Server) ReportCtx(ctx context.Context) (RunResult, error) {
 	if v == nil {
 		return RunResult{}, fmt.Errorf("serve: no specification loaded")
 	}
-	v.start()
-	select {
-	case <-v.done:
-		return v.result, nil
-	case <-ctx.Done():
+	if err := v.report.wait(ctx, v.computeReport); err != nil {
 		s.reg.Counter("serve.timeouts").Inc()
-		return RunResult{}, fmt.Errorf("serve: waiting for verification of version %d: %w", v.id, ctx.Err())
+		return RunResult{}, fmt.Errorf("serve: waiting for verification of version %d: %w", v.id, err)
 	}
+	return v.result, nil
 }
 
-// start kicks off the version's verification exactly once, on its own
-// goroutine so callers can bound their wait.
-func (v *version) start() {
-	v.once.Do(func() {
-		go func() {
-			defer close(v.done)
-			v.compute()
-		}()
-	})
+// verifyCtx bounds ctx by the configured VerifyTimeout.
+func (s *Server) verifyCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.cfg.VerifyTimeout > 0 {
+		return context.WithTimeout(ctx, s.cfg.VerifyTimeout)
+	}
+	return ctx, func() {}
 }
 
-// compute runs the version's verification. Panics are contained: the
-// version's result carries the error and the daemon keeps serving
-// (worker panics are already contained by governance — this is the
-// serve-layer backstop, exercised by fault injection).
-func (v *version) compute() {
+// prepare is the version's one symbolic run, bounded by VerifyTimeout.
+// Panics are contained: the version carries the error and the daemon
+// keeps serving (worker panics are already contained by governance —
+// this is the serve-layer backstop, exercised by fault injection).
+func (v *version) prepare() {
 	s := v.srv
 	defer func() {
 		if r := recover(); r != nil {
 			s.reg.Counter("serve.panics").Inc()
-			v.result = RunResult{Version: v.id, Err: fmt.Errorf("serve: verification panic: %v", r)}
+			v.run, v.runErr = nil, fmt.Errorf("serve: verification panic: %v", r)
 		}
 	}()
 	sp := s.reg.Span("verify")
 	defer sp.End()
 	if err := fault.Here("serve.verify.run"); err != nil {
-		v.result = RunResult{Version: v.id, Err: err}
+		v.runErr = err
 		return
 	}
-	ctx := context.Background()
-	if s.cfg.VerifyTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.VerifyTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.verifyCtx(context.Background())
+	defer cancel()
 	rc := newRunCache(s)
-	rep, err := yu.FromSpec(v.spec).Verify(yu.VerifyOptions{
-		K:              s.cfg.K,
-		Mode:           s.cfg.Mode,
-		ModeSet:        s.cfg.ModeSet,
-		OverloadFactor: s.cfg.OverloadFactor,
-		Workers:        1,
-		Ctx:            ctx,
-		Obs:            s.reg,
-		CostHints:      s.copyHints(),
-		STFCache:       rc,
+	v.run, v.runErr = yu.FromSpec(v.spec).Prepare(yu.VerifyOptions{
+		K:         s.cfg.K,
+		Mode:      s.cfg.Mode,
+		ModeSet:   s.cfg.ModeSet,
+		Workers:   1,
+		Ctx:       ctx,
+		Obs:       s.reg,
+		CostHints: s.copyHints(),
+		STFCache:  rc,
 	})
-	v.result = RunResult{
-		Version: v.id,
-		Report:  rep,
-		Err:     err,
-		Stats:   RunStats{CacheHits: rc.hits, CacheMisses: rc.misses},
-	}
-	if rep != nil {
-		v.result.Holds = rep.Holds
-		v.result.Text = canon.FormatReport(v.spec.Net, rep)
-		s.mergeHints(rep.CostHints)
-	}
-	if err == nil {
+	v.stats = RunStats{CacheHits: rc.hits, CacheMisses: rc.misses}
+	if v.run != nil && v.run.Err() == nil {
 		s.everRan.Store(true)
 	}
+}
+
+// computeReport waits for the version's run, then checks the spec's
+// properties on it and renders the canonical report, bounded by
+// VerifyTimeout.
+func (v *version) computeReport() {
+	v.prep.wait(context.Background(), v.prepare)
+	s := v.srv
+	v.result = RunResult{Version: v.id, Stats: v.stats, Err: v.runErr}
+	if v.run == nil {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.reg.Counter("serve.panics").Inc()
+			v.result = RunResult{Version: v.id, Stats: v.stats, Err: fmt.Errorf("serve: verification panic: %v", r)}
+		}
+	}()
+	sp := s.reg.Span("report")
+	defer sp.End()
+	ctx, cancel := s.verifyCtx(context.Background())
+	defer cancel()
+	rep, err := v.run.Report(ctx, v.spec.Props, v.spec.Delivered, s.cfg.OverloadFactor)
+	v.result.Report, v.result.Err = rep, err
+	v.result.Holds = rep.Holds
+	v.result.Text = canon.FormatReport(v.spec.Net, rep)
+	s.mergeHints(rep.CostHints)
 }
 
 func (s *Server) copyHints() map[string]float64 {

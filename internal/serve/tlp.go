@@ -1,13 +1,14 @@
 // POST /v1/tlp: portfolio evaluation against the daemon's warm state.
 // The request pins the current version and evaluates an arbitrary TLP
-// portfolio with the batch engine — one symbolic run serves every
-// property, and the run draws its symbolic execution from the warm STF
-// cache, so on a warm daemon only classes dirtied since the last run are
-// re-executed.
+// portfolio with the batch engine on that version's single symbolic run
+// — the same route simulation and execution its report is checked on —
+// so a query costs only its checks. The cache_hits/cache_misses of the
+// answer are those of the version's run.
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -49,57 +50,48 @@ type TLPResult struct {
 }
 
 // EvalPortfolioCtx evaluates portfolio text against the current version
-// from warm state. An empty text evaluates the spec's own portfolio
-// section. Parse and compile errors are returned as the error; a
-// governed abort (ctx expiry mid-run) returns a partial result whose
-// undecided properties are unchecked, carried in TLPResult.Err.
+// on that version's one symbolic run: it waits for the run (shared with
+// the version's report) until ctx expires, then compiles and evaluates
+// the portfolio on it, with no route simulation or cache lookups of its
+// own. An empty text evaluates the spec's own portfolio section. Parse
+// and compile errors, and an expired wait, are returned as the error. A
+// run that failed or was cut short, or an evaluation cut short by ctx,
+// yields a partial result whose undecided properties are unchecked,
+// with the cause in TLPResult.Err.
 func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TLPResult, error) {
 	v := s.cur.Load()
 	if v == nil {
 		return TLPResult{}, fmt.Errorf("serve: no specification loaded")
 	}
-	var props []yu.TLProp
+	props := v.spec.Portfolio
 	if portfolioText != "" {
 		var err error
 		props, err = config.ParsePortfolioString(portfolioText, v.spec.Net)
 		if err != nil {
 			return TLPResult{}, fmt.Errorf("portfolio: %w", err)
 		}
-	} else {
-		props = v.spec.Portfolio
 	}
-	if _, err := tlp.Compile(v.spec.Net, v.spec.Flows, props); err != nil {
-		return TLPResult{}, err
+	if err := v.prep.wait(ctx, v.prepare); err != nil {
+		s.reg.Counter("serve.timeouts").Inc()
+		return TLPResult{}, fmt.Errorf("serve: waiting for verification of version %d: %w", v.id, err)
+	}
+	out := TLPResult{Version: v.id, Stats: v.stats, Err: v.runErr}
+	if v.run == nil {
+		out.Result = tlp.AllUnchecked(props)
+	} else {
+		sp := s.reg.Span("tlp")
+		defer sp.End()
+		ctx, cancel := s.verifyCtx(ctx)
+		defer cancel()
+		res, err := v.run.Portfolio(ctx, props)
+		if res == nil {
+			return TLPResult{}, err
+		}
+		out.Result, out.Err = res, err
 	}
 	s.reg.Counter("serve.tlp_requests").Inc()
-	sp := s.reg.Span("tlp")
-	defer sp.End()
-	if s.cfg.VerifyTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.VerifyTimeout)
-		defer cancel()
-	}
-	rc := newRunCache(s)
-	res, err := yu.FromSpec(v.spec).VerifyPortfolio(props, yu.VerifyOptions{
-		K:         s.cfg.K,
-		Mode:      s.cfg.Mode,
-		ModeSet:   s.cfg.ModeSet,
-		Workers:   1,
-		Ctx:       ctx,
-		Obs:       s.reg,
-		CostHints: s.copyHints(),
-		STFCache:  rc,
-	})
-	if res == nil {
-		return TLPResult{}, err
-	}
-	return TLPResult{
-		Version: v.id,
-		Result:  res,
-		Text:    canon.FormatPortfolio(v.spec.Net, res),
-		Stats:   RunStats{CacheHits: rc.hits, CacheMisses: rc.misses},
-		Err:     err,
-	}, nil
+	out.Text = canon.FormatPortfolio(v.spec.Net, out.Result)
+	return out, nil
 }
 
 func (s *Server) handleTLP(w http.ResponseWriter, r *http.Request) {
@@ -113,11 +105,14 @@ func (s *Server) handleTLP(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.EvalPortfolioCtx(r.Context(), req.Portfolio)
 	if err != nil {
-		if res.Version == 0 && s.cur.Load() == nil {
+		switch {
+		case s.cur.Load() == nil:
 			writeError(w, http.StatusConflict, err)
-			return
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+			writeError(w, http.StatusGatewayTimeout, err)
+		default:
+			writeError(w, http.StatusUnprocessableEntity, err)
 		}
-		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	out := tlpResponse{

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/yu-verify/yu/internal/obs"
 	"github.com/yu-verify/yu/internal/serve"
 )
 
@@ -37,15 +38,18 @@ func postTLP(t *testing.T, url, body string) (*http.Response, []byte) {
 	return res, data
 }
 
-// TestTLPWarm: after one report has warmed the daemon, a portfolio
-// evaluation must serve every class from the warm cache — zero misses —
-// and its verdicts must agree with the known Figure 1 loads.
+// TestTLPWarm: after one report, a portfolio evaluation on the same
+// version must run on that version's symbolic run: no STF-cache lookup
+// and no route simulation of its own, and the cache statistics it
+// reports are the run's. Its verdicts must agree with the known Figure 1
+// loads.
 func TestTLPWarm(t *testing.T) {
 	s := serve.NewServer(serve.Config{K: 1})
 	if _, err := s.LoadSpecText(readSpec(t, "motivating.yu")); err != nil {
 		t.Fatal(err)
 	}
 	first := mustReport(t, s)
+	before := s.Metrics().Snapshot()
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -65,9 +69,18 @@ func TestTLPWarm(t *testing.T) {
 	if r.Version != first.Version {
 		t.Errorf("tlp cites version %d, report pinned %d", r.Version, first.Version)
 	}
-	// Warm answer: both classes from the cache, nothing re-executed.
-	if r.CacheHits != 2 || r.CacheMisses != 0 {
-		t.Errorf("hits/misses = %d/%d, want 2/0 (warm state)", r.CacheHits, r.CacheMisses)
+	snap := s.Metrics().Snapshot()
+	for _, name := range []string{"serve.class_cache_hits", "serve.class_cache_misses"} {
+		if d := snap.Counters[name] - before.Counters[name]; d != 0 {
+			t.Errorf("%s grew by %d during the TLP request, want 0", name, d)
+		}
+	}
+	if d := phaseCount(snap, "routesim") - phaseCount(before, "routesim"); d != 0 {
+		t.Errorf("the TLP request ran route simulation %d time(s), want 0", d)
+	}
+	if r.CacheHits != first.Stats.CacheHits || r.CacheMisses != first.Stats.CacheMisses {
+		t.Errorf("hits/misses = %d/%d, want the run's %d/%d",
+			r.CacheHits, r.CacheMisses, first.Stats.CacheHits, first.Stats.CacheMisses)
 	}
 	// k=1: C->E hits 100 when B-D fails, delivery stays >= 80 (one E-F
 	// link survives), and the conditional bound 105 can never be hit.
@@ -79,7 +92,6 @@ func TestTLPWarm(t *testing.T) {
 		t.Errorf("report lacks a violation group:\n%s", r.Report)
 	}
 
-	snap := s.Metrics().Snapshot()
 	if snap.Counters["serve.tlp_requests"] != 1 {
 		t.Errorf("serve.tlp_requests = %d, want 1", snap.Counters["serve.tlp_requests"])
 	}
@@ -155,4 +167,14 @@ func TestTLPErrors(t *testing.T) {
 	if res2.StatusCode != http.StatusConflict {
 		t.Errorf("no spec: status %d, want 409", res2.StatusCode)
 	}
+}
+
+// phaseCount is how many spans completed under the named phase.
+func phaseCount(s *obs.Snapshot, path string) int64 {
+	for _, p := range s.Phases {
+		if p.Path == path {
+			return p.Count
+		}
+	}
+	return 0
 }

@@ -423,7 +423,7 @@ func (p *Portfolio) Eval(v *core.Verifier, reg *obs.Registry) (*Result, error) {
 			}
 		}
 		r.Holds = r.Stats.Violations == 0 && !r.Incomplete
-		r.Groups = groupVerdicts(r.Verdicts)
+		r.Groups = GroupVerdicts(r.Verdicts)
 		reg.Counter("tlp.properties").Add(int64(r.Stats.Properties))
 		reg.Counter("tlp.checks").Add(int64(r.Stats.Checks))
 		reg.Counter("tlp.restrict_scans").Add(int64(r.Stats.RestrictScans))
@@ -478,10 +478,10 @@ func AllUnchecked(props []topo.TLProp) *Result {
 	return r
 }
 
-// groupVerdicts clusters violated properties by witness failure set,
+// GroupVerdicts clusters violated properties by witness failure set,
 // ordering groups by descending worst excess (ties by witness key) and
 // members by descending excess (ties by property index).
-func groupVerdicts(verdicts []Verdict) []Group {
+func GroupVerdicts(verdicts []Verdict) []Group {
 	byKey := make(map[string]*Group)
 	var keys []string
 	for i := range verdicts {

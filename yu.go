@@ -33,6 +33,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"sync"
 	"time"
 
 	"github.com/yu-verify/yu/internal/compose"
@@ -207,8 +208,12 @@ const (
 // the spec's own properties under the spec's failure budget with the YU
 // engine.
 type VerifyOptions struct {
-	// K overrides the spec's failure budget when >= 0 (use -1 to keep).
+	// K overrides the spec's failure budget when K > 0 or KSet is true;
+	// otherwise the spec's own budget applies.
 	K int
+	// KSet makes K take effect even when it is 0, the no-failure
+	// baseline.
+	KSet bool
 	// Mode overrides the spec's failure mode when set.
 	Mode FailureMode
 	// ModeSet makes Mode take effect.
@@ -321,25 +326,15 @@ type Report struct {
 
 // Verify runs k-failure TLP verification.
 func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
-	k := n.spec.K
-	if opts.K > 0 {
-		k = opts.K
-	}
-	mode := n.spec.Mode
-	if opts.ModeSet {
-		mode = opts.Mode
-	}
-	flows := n.spec.Flows
-	if opts.Flows != nil {
-		flows = opts.Flows
-	}
 	start := time.Now()
 	switch opts.Engine {
 	case EngineYU:
-		return n.verifyYU(k, mode, flows, opts, start)
+		return n.verifyYU(opts, start)
 	case EngineEnumerate:
+		k, mode, flows := n.resolve(opts)
 		return n.verifyEnumerate(k, mode, flows, opts, start)
 	case EngineShortestPath:
+		k, mode, flows := n.resolve(opts)
 		if mode != topo.FailLinks {
 			return nil, fmt.Errorf("yu: the shortest-path baseline supports link failures only")
 		}
@@ -362,11 +357,27 @@ func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
 			})
 		}
 		if rep.Err != nil {
-			n.markAllUnchecked(out, factor)
+			n.markAllUnchecked(out, n.spec.Props, n.spec.Delivered, factor)
 		}
 		return out, rep.Err
 	}
 	return nil, fmt.Errorf("yu: unknown engine %d", opts.Engine)
+}
+
+// resolve applies the run-shape overrides of opts to the spec's failure
+// budget, failure mode, and flows.
+func (n *Network) resolve(opts VerifyOptions) (k int, mode FailureMode, flows []Flow) {
+	k, mode, flows = n.spec.K, n.spec.Mode, n.spec.Flows
+	if opts.K > 0 || opts.KSet {
+		k = opts.K
+	}
+	if opts.ModeSet {
+		mode = opts.Mode
+	}
+	if opts.Flows != nil {
+		flows = opts.Flows
+	}
+	return k, mode, flows
 }
 
 // verifyEnumerate runs the Jingubang-style concrete baseline. It is both
@@ -398,15 +409,29 @@ func (n *Network) verifyEnumerate(k int, mode FailureMode, flows []Flow, opts Ve
 		})
 	}
 	if rep.Err != nil {
-		n.markAllUnchecked(out, opts.OverloadFactor)
+		n.markAllUnchecked(out, n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
 	}
 	return out, rep.Err
+}
+
+// degradeWhole is rung 4 of the degradation ladder: the node budget could
+// not hold the symbolic run (or its checks), so the whole run falls back
+// to bounded concrete enumeration and every flow is reported degraded.
+func (n *Network) degradeWhole(k int, mode FailureMode, flows []Flow, opts VerifyOptions, start time.Time, routeTime time.Duration) (*Report, error) {
+	out, err := n.verifyEnumerate(k, mode, flows, opts, start)
+	if out != nil {
+		for _, f := range flows {
+			out.DegradedFlows = append(out.DegradedFlows, f.String())
+		}
+		out.RouteSimTime = routeTime
+	}
+	return out, err
 }
 
 // markAllUnchecked records every requested check target as unchecked on
 // a report whose checks could not run (or cannot be trusted to have
 // covered every scenario).
-func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
+func (n *Network) markAllUnchecked(out *Report, bounds []LoadBound, delivered []DeliveredBound, overloadFactor float64) {
 	seen := make(map[DirLinkID]bool)
 	addLink := func(l DirLinkID) {
 		if !seen[l] {
@@ -414,7 +439,7 @@ func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
 			out.Unchecked = append(out.Unchecked, l)
 		}
 	}
-	for _, b := range n.spec.Props {
+	for _, b := range bounds {
 		dirs := []topo.Direction{topo.AtoB, topo.BtoA}
 		if b.DirSpecified {
 			dirs = []topo.Direction{b.Dir}
@@ -430,131 +455,88 @@ func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
 			}
 		}
 	}
-	for _, b := range n.spec.Delivered {
+	for _, b := range delivered {
 		out.UncheckedDelivered = append(out.UncheckedDelivered, b.Prefix)
 	}
 	out.Incomplete = true
 	out.Holds = false
 }
 
-// VerifyPortfolio evaluates a property portfolio with the batch TLP
-// engine (EngineYU only): one symbolic execution serves every property,
-// each directed link's load aggregated and terminal-scanned exactly once
-// however many properties ride on it. Options are honored as in Verify
-// (K/Mode/Flows overrides, Workers, governance, Obs, STFCache); the
-// portfolio itself replaces the spec's legacy properties. The result is
-// byte-stable across worker counts (canon.FormatPortfolio).
-//
-// Like Verify, a governed abort returns the typed error together with a
-// partial result whose undecided properties are StatusUnchecked.
-func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResult, error) {
-	k := n.spec.K
-	if opts.K > 0 {
-		k = opts.K
-	}
-	mode := n.spec.Mode
-	if opts.ModeSet {
-		mode = opts.Mode
-	}
-	flows := n.spec.Flows
-	if opts.Flows != nil {
-		flows = opts.Flows
-	}
-	port, err := tlp.Compile(n.spec.Net, flows, props)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	budget := k
-	checkK := 0
-	if opts.DisableKReduce {
-		budget = -1
-		checkK = k
-	}
-	m := mtbdd.New()
-	fv := routesim.NewFailVars(m, n.spec.Net, mode, budget)
-	if opts.MaxNodes > 0 {
-		m.SetNodeBudget(opts.MaxNodes)
-	}
-	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs)
-	opts.Obs.AddPhase("routesim", time.Since(start))
-	if err != nil {
-		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrNodeBudget) {
-			core.RecordManager(opts.Obs, "primary", m)
-			return tlp.AllUnchecked(props), err
-		}
-		return nil, err
-	}
-	eng := core.NewEngine(rs, core.Options{
-		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
-		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-		CheckK:                checkK,
-		Ctx:                   opts.Ctx,
-		NodeBudget:            opts.MaxNodes,
-		OnBudget:              opts.OnBudget,
-		Configs:               n.spec.Configs,
-		Obs:                   opts.Obs,
-		CostHints:             opts.CostHints,
-		STFCache:              opts.STFCache,
-	})
-	ver := core.NewParallelVerifier(eng, flows, opts.Workers)
-	if verr := ver.Err(); verr != nil {
-		core.RecordManager(opts.Obs, "primary", eng.Manager())
-		return tlp.AllUnchecked(props), verr
-	}
-	res, err := port.Eval(ver, opts.Obs)
-	core.RecordManager(opts.Obs, "primary", eng.Manager())
-	return res, err
+// governed reports whether err is a governance abort (cancellation,
+// deadline, node budget), which yields a partial answer rather than none.
+func governed(err error) bool {
+	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrNodeBudget)
 }
 
-func (n *Network) verifyYU(k int, mode FailureMode, flows []Flow, opts VerifyOptions, start time.Time) (*Report, error) {
-	if opts.Domains != nil || opts.AutoDomains > 0 {
-		return n.verifyModular(k, mode, flows, opts, start)
+// Prepared is one symbolic run of a network — route simulation plus
+// symbolic execution of every flow, the paper's §4 pipeline — kept ready
+// to answer any number of property queries: Report checks legacy
+// properties, Portfolio evaluates TLP portfolios, and neither repeats
+// route simulation or execution. Both methods serialize on the handle
+// (an MTBDD manager is single-threaded), so a Prepared is safe for
+// concurrent use. It holds its manager's nodes for as long as it is
+// referenced.
+type Prepared struct {
+	n         *Network
+	reg       *Metrics
+	k         int
+	mode      FailureMode
+	flows     []Flow
+	start     time.Time
+	routeTime time.Duration
+
+	mu  sync.Mutex
+	m   *mtbdd.Manager
+	eng *core.Engine   // nil when route simulation was cut short
+	ver *core.Verifier // nil when route simulation was cut short
+	// err is the governance error (cancellation, deadline, node budget)
+	// that cut route simulation or execution short.
+	err error
+	// recorded is the manager's stats at its last obs record, so each
+	// query records only its own work.
+	recorded obs.ManagerStats
+}
+
+// Prepare runs route simulation and symbolic execution once under opts
+// (EngineYU only; the K/Mode/Flows overrides, Workers, governance, Obs,
+// CostHints and STFCache are honored as in Verify) and returns the
+// handle that answers queries from that run. Prepare always builds the
+// monolithic pipeline: Domains and AutoDomains are ignored, as in
+// VerifyPortfolio. A run cut short by governance still yields a handle:
+// Err reports why, and every query answers with unchecked targets and
+// that error. Other failures return a nil handle and the error.
+func (n *Network) Prepare(opts VerifyOptions) (*Prepared, error) {
+	if opts.Engine != EngineYU {
+		return nil, fmt.Errorf("yu: Prepare supports the yu engine only")
 	}
-	budget := k
-	checkK := 0
+	return n.prepare(opts, time.Now())
+}
+
+// prepare is the one setup path of the symbolic engine: resolve the run
+// shape, build the failure variables, run route simulation, and execute
+// every flow.
+func (n *Network) prepare(opts VerifyOptions, start time.Time) (*Prepared, error) {
+	k, mode, flows := n.resolve(opts)
+	p := &Prepared{n: n, reg: opts.Obs, k: k, mode: mode, flows: flows, start: start, m: mtbdd.New()}
+	budget, checkK := k, 0
 	if opts.DisableKReduce {
-		budget = -1
-		checkK = k
+		budget, checkK = -1, k
 	}
-	m := mtbdd.New()
-	fv := routesim.NewFailVars(m, n.spec.Net, mode, budget)
+	fv := routesim.NewFailVars(p.m, n.spec.Net, mode, budget)
 	if opts.MaxNodes > 0 {
-		m.SetNodeBudget(opts.MaxNodes)
+		p.m.SetNodeBudget(opts.MaxNodes)
 	}
 	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs)
-	routeTime := time.Since(start)
-	opts.Obs.AddPhase("routesim", routeTime)
+	p.routeTime = time.Since(start)
+	opts.Obs.AddPhase("routesim", p.routeTime)
 	if err != nil {
-		if errors.Is(err, ErrNodeBudget) && opts.OnBudget == BudgetDegrade {
-			// Rung 4 of the degradation ladder: the budget cannot even
-			// hold symbolic route simulation, so the whole run falls back
-			// to bounded concrete enumeration. Every flow is degraded.
-			out, derr := n.verifyEnumerate(k, mode, flows, opts, start)
-			if out != nil {
-				for _, f := range flows {
-					out.DegradedFlows = append(out.DegradedFlows, f.String())
-				}
-				out.RouteSimTime = routeTime
-			}
-			return out, derr
+		if !governed(err) {
+			return nil, err
 		}
-		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrNodeBudget) {
-			// Cut short before any check could run: a partial report with
-			// every requested target unchecked, plus the typed error.
-			out := &Report{
-				Elapsed:      time.Since(start),
-				RouteSimTime: routeTime,
-				FlowsTotal:   len(flows),
-				MTBDDNodes:   m.Stats().Live,
-			}
-			n.markAllUnchecked(out, opts.OverloadFactor)
-			core.RecordManager(opts.Obs, "primary", m)
-			return out, err
-		}
-		return nil, err
+		p.err = err
+		return p, nil
 	}
-	eng := core.NewEngine(rs, core.Options{
+	p.eng = core.NewEngine(rs, core.Options{
 		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
 		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
 		CheckK:                checkK,
@@ -567,27 +549,75 @@ func (n *Network) verifyYU(k int, mode FailureMode, flows []Flow, opts VerifyOpt
 		STFCache:              opts.STFCache,
 	})
 	execSpan := opts.Obs.Span("execute")
-	ver := core.NewParallelVerifier(eng, flows, opts.Workers)
+	p.ver = core.NewParallelVerifier(p.eng, flows, opts.Workers)
 	execSpan.End()
-	checkSpan := opts.Obs.Span("check")
-	rep, verr := ver.Run(n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
-	checkSpan.End()
-	core.RecordManager(opts.Obs, "primary", eng.Manager())
-	if verr == nil && rep.Incomplete && opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 {
-		// The budget let execution through (possibly via per-flow
-		// fallbacks) but was too tight for the aggregation checks, which
-		// were skipped. Rung 4: re-verify the whole run concretely so the
-		// degrade policy always renders a complete verdict.
-		out, derr := n.verifyEnumerate(k, mode, flows, opts, start)
-		if out != nil {
-			for _, f := range flows {
-				out.DegradedFlows = append(out.DegradedFlows, f.String())
-			}
-			out.RouteSimTime = routeTime
+	p.err = p.ver.Err()
+	return p, nil
+}
+
+// Err returns the governance error that cut the prepared run short, or
+// nil if route simulation and execution completed.
+func (p *Prepared) Err() error { return p.err }
+
+// record snapshots the manager's work since the previous record into the
+// run's metrics registry (caller holds p.mu).
+func (p *Prepared) record() {
+	core.RecordManagerSince(p.reg, "primary", p.m, &p.recorded)
+}
+
+// Report checks load bounds, delivered bounds and, when overloadFactor >
+// 0, the all-links overload property against the prepared run: the
+// report Verify renders for those properties. ctx bounds the checks (nil
+// leaves them unbounded). A run cut short in Prepare yields a partial
+// report with every requested target unchecked, plus the run's error.
+func (p *Prepared) Report(ctx context.Context, bounds []LoadBound, delivered []DeliveredBound, overloadFactor float64) (*Report, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	defer p.record()
+	if p.ver == nil {
+		out := &Report{
+			Elapsed:      time.Since(p.start),
+			RouteSimTime: p.routeTime,
+			FlowsTotal:   len(p.flows),
+			MTBDDNodes:   p.m.Stats().Live,
 		}
-		return out, derr
+		p.n.markAllUnchecked(out, bounds, delivered, overloadFactor)
+		return out, p.err
 	}
-	out := &Report{
+	p.eng.SetContext(ctx)
+	checkSpan := p.reg.Span("check")
+	rep, err := p.ver.Run(bounds, delivered, overloadFactor)
+	checkSpan.End()
+	return newReport(rep, p.ver, p.m, p.start, p.routeTime), err
+}
+
+// Portfolio evaluates a property portfolio with the batch TLP engine
+// against the prepared run: each directed link's load is aggregated and
+// terminal-scanned once however many properties ride on it. ctx bounds
+// the evaluation (nil leaves it unbounded). Compile errors return a nil
+// result. A run cut short in Prepare, or an evaluation cut short by ctx,
+// returns the typed error with a partial result whose undecided
+// properties are StatusUnchecked.
+func (p *Prepared) Portfolio(ctx context.Context, props []TLProp) (*TLPResult, error) {
+	port, err := tlp.Compile(p.n.spec.Net, p.flows, props)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	defer p.record()
+	if p.err != nil {
+		return tlp.AllUnchecked(props), p.err
+	}
+	p.eng.SetContext(ctx)
+	checkSpan := p.reg.Span("check")
+	defer checkSpan.End()
+	return port.Eval(p.ver, p.reg)
+}
+
+// newReport renders a verifier's check report as the public Report.
+func newReport(rep *core.Report, ver *core.Verifier, m *mtbdd.Manager, start time.Time, routeTime time.Duration) *Report {
+	return &Report{
 		Violations:         rep.Violations,
 		Holds:              rep.Holds,
 		Elapsed:            time.Since(start),
@@ -603,7 +633,49 @@ func (n *Network) verifyYU(k int, mode FailureMode, flows []Flow, opts VerifyOpt
 		Sched:              ver.SchedStats(),
 		CostHints:          ver.CostHints(),
 	}
-	return out, verr
+}
+
+// VerifyPortfolio evaluates a property portfolio with the batch TLP
+// engine (EngineYU only): one symbolic execution serves every property,
+// each directed link's load aggregated and terminal-scanned exactly once
+// however many properties ride on it. Options are honored as in Verify
+// (K/Mode/Flows overrides, Workers, governance, Obs, STFCache); the
+// portfolio itself replaces the spec's legacy properties. The result is
+// byte-stable across worker counts (canon.FormatPortfolio). It is
+// Prepare followed by one Portfolio query.
+//
+// Like Verify, a governed abort returns the typed error together with a
+// partial result whose undecided properties are StatusUnchecked.
+func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResult, error) {
+	p, err := n.prepare(opts, time.Now())
+	if err != nil {
+		return nil, err
+	}
+	return p.Portfolio(opts.Ctx, props)
+}
+
+func (n *Network) verifyYU(opts VerifyOptions, start time.Time) (*Report, error) {
+	if opts.Domains != nil || opts.AutoDomains > 0 {
+		return n.verifyModular(opts, start)
+	}
+	p, err := n.prepare(opts, start)
+	if err != nil {
+		return nil, err
+	}
+	degrade := opts.OnBudget == BudgetDegrade
+	if p.ver == nil && degrade && errors.Is(p.err, ErrNodeBudget) {
+		// The budget cannot even hold symbolic route simulation.
+		return n.degradeWhole(p.k, p.mode, p.flows, opts, start, p.routeTime)
+	}
+	rep, err := p.Report(opts.Ctx, n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
+	if err == nil && rep.Incomplete && degrade && opts.MaxNodes > 0 {
+		// The budget let execution through (possibly via per-flow
+		// fallbacks) but was too tight for the aggregation checks, which
+		// were skipped: re-verify the whole run concretely so the degrade
+		// policy always renders a complete verdict.
+		return n.degradeWhole(p.k, p.mode, p.flows, opts, start, p.routeTime)
+	}
+	return rep, err
 }
 
 // verifyModular is the compositional pipeline (DESIGN.md §17): partition
@@ -613,7 +685,7 @@ func (n *Network) verifyYU(k int, mode FailureMode, flows []Flow, opts VerifyOpt
 // inputs the composition cannot handle (incomposable configs, governed
 // domain builds under BudgetDegrade) fall back to the whole-network
 // pipeline, which reproduces the verdict or the error.
-func (n *Network) verifyModular(k int, mode FailureMode, flows []Flow, opts VerifyOptions, start time.Time) (*Report, error) {
+func (n *Network) verifyModular(opts VerifyOptions, start time.Time) (*Report, error) {
 	var part *topo.Partition
 	var perr error
 	if opts.Domains != nil {
@@ -624,11 +696,10 @@ func (n *Network) verifyModular(k int, mode FailureMode, flows []Flow, opts Veri
 	if perr != nil {
 		return nil, perr // an invalid partition is a configuration error
 	}
-	budget := k
-	checkK := 0
+	k, mode, flows := n.resolve(opts)
+	budget, checkK := k, 0
 	if opts.DisableKReduce {
-		budget = -1
-		checkK = k
+		budget, checkK = -1, k
 	}
 	composeStart := time.Now()
 	built, err := compose.Build(n.spec.Net, n.spec.Configs, part, flows, compose.Options{
@@ -653,14 +724,14 @@ func (n *Network) verifyModular(k int, mode FailureMode, flows []Flow, opts Veri
 				RouteSimTime: composeTime,
 				FlowsTotal:   len(flows),
 			}
-			n.markAllUnchecked(out, opts.OverloadFactor)
+			n.markAllUnchecked(out, n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
 			return out, err
 		}
 		// Incomposable input or a budget the domains could not hold: the
 		// monolithic pipeline reproduces the verdict or the error.
 		mono := opts
 		mono.Domains, mono.AutoDomains = nil, 0
-		return n.verifyYU(k, mode, flows, mono, start)
+		return n.verifyYU(mono, start)
 	}
 	ver := built.Verifier
 	checkSpan := opts.Obs.Span("check")
@@ -668,35 +739,11 @@ func (n *Network) verifyModular(k int, mode FailureMode, flows []Flow, opts Veri
 	checkSpan.End()
 	core.RecordManager(opts.Obs, "primary", built.Engine.Manager())
 	if verr == nil && rep.Incomplete && opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 {
-		// Rung 4 of the degradation ladder, exactly as in the monolithic
-		// pipeline: checks were skipped under the budget, so the whole run
-		// re-verifies concretely for a complete verdict.
-		out, derr := n.verifyEnumerate(k, mode, flows, opts, start)
-		if out != nil {
-			for _, f := range flows {
-				out.DegradedFlows = append(out.DegradedFlows, f.String())
-			}
-			out.RouteSimTime = composeTime
-		}
-		return out, derr
+		// Rung 4, exactly as in the monolithic pipeline.
+		return n.degradeWhole(k, mode, flows, opts, start, composeTime)
 	}
 	stats := built.Stats
-	out := &Report{
-		Violations:         rep.Violations,
-		Holds:              rep.Holds,
-		Elapsed:            time.Since(start),
-		RouteSimTime:       composeTime,
-		FlowsTotal:         rep.FlowsTotal,
-		FlowsExecuted:      rep.FlowsExecuted,
-		MTBDDNodes:         built.Engine.Manager().Stats().Live,
-		LinkStats:          rep.LinkStats,
-		Incomplete:         rep.Incomplete,
-		Unchecked:          rep.Unchecked,
-		UncheckedDelivered: rep.UncheckedDelivered,
-		DegradedFlows:      rep.DegradedFlows,
-		Sched:              ver.SchedStats(),
-		CostHints:          ver.CostHints(),
-		Modular:            &stats,
-	}
+	out := newReport(rep, ver, built.Engine.Manager(), start, composeTime)
+	out.Modular = &stats
 	return out, verr
 }

@@ -1,13 +1,17 @@
 package yu
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/yu-verify/yu/internal/concrete"
 	"github.com/yu-verify/yu/internal/flowgen"
 	"github.com/yu-verify/yu/internal/gen"
 	"github.com/yu-verify/yu/internal/paperex"
+	"github.com/yu-verify/yu/internal/tlp"
+	"github.com/yu-verify/yu/internal/topo"
 )
 
 func loadMotivating(t testing.TB) *Network {
@@ -264,5 +268,115 @@ func TestVerifyWorkersMatchesSequential(t *testing.T) {
 	if seq.FlowsExecuted != par.FlowsExecuted || len(seq.LinkStats) != len(par.LinkStats) {
 		t.Fatalf("stats differ: executed %d vs %d, link stats %d vs %d",
 			seq.FlowsExecuted, par.FlowsExecuted, len(seq.LinkStats), len(par.LinkStats))
+	}
+}
+
+// noFailureLoads simulates the network concretely with nothing failed.
+func noFailureLoads(n *Network) map[DirLinkID]float64 {
+	sim := concrete.NewSim(n.Topology(), n.Spec().Configs)
+	return sim.Simulate(concrete.NewScenario(n.Topology()), n.Spec().Flows).Load
+}
+
+// TestVerifyKSetZero: KSet with K 0 requests the no-failure baseline
+// (the spec says k 1). Every violation then has an empty witness and the
+// load the concrete no-failure simulation computes, and the violated
+// links are exactly those the simulation overloads.
+func TestVerifyKSetZero(t *testing.T) {
+	n, err := LoadFile("testdata/motivating.yu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const factor = 0.6
+	rep, err := n.Verify(VerifyOptions{K: 0, KSet: true, OverloadFactor: factor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := noFailureLoads(n)
+	want := make(map[DirLinkID]bool)
+	for l, g := range loads {
+		if g > factor*n.Topology().Link(l.Link()).Capacity {
+			want[l] = true
+		}
+	}
+	got := make(map[DirLinkID]bool)
+	for _, v := range rep.Violations {
+		if len(v.FailedLinks) > 0 || len(v.FailedRouters) > 0 {
+			t.Errorf("k=0 violation has a failure witness: %s", v.Describe(n.Topology()))
+		}
+		if v.Kind != "link-load" {
+			t.Errorf("unexpected %s violation at k=0 (delivery holds without failures)", v.Kind)
+			continue
+		}
+		got[v.Link] = true
+		if math.Abs(v.Value-loads[v.Link]) > 1e-9 {
+			t.Errorf("%s: value %g, concrete no-failure load %g", n.Topology().DirLinkName(v.Link), v.Value, loads[v.Link])
+		}
+	}
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("violated links %v, concrete overloads %v", got, want)
+	}
+	for l := range want {
+		if !got[l] {
+			t.Errorf("%s is overloaded without failures but not reported", n.Topology().DirLinkName(l))
+		}
+	}
+	// Without KSet, K 0 keeps the spec's budget (k 1), under which some
+	// violation needs a failure.
+	spec, err := n.Verify(VerifyOptions{OverloadFactor: factor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := false
+	for _, v := range spec.Violations {
+		failed = failed || len(v.FailedLinks) > 0
+	}
+	if !failed {
+		t.Error("K 0 without KSet did not keep the spec's k=1 budget")
+	}
+}
+
+// TestVerifyPortfolioKSetZero: a portfolio evaluated with KSet, K 0
+// sees exactly the concrete no-failure loads. Each directed link gets a
+// bound 0.5 Gbps below its load (violated, with that value and an
+// empty witness) and one 0.5 Gbps above it (holds).
+func TestVerifyPortfolioKSetZero(t *testing.T) {
+	n, err := LoadFile("testdata/motivating.yu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := noFailureLoads(n)
+	var props []TLProp
+	var dirs []DirLinkID
+	for li := 0; li < n.Topology().NumLinks(); li++ {
+		for _, d := range []topo.Direction{topo.AtoB, topo.BtoA} {
+			l := topo.MakeDirLinkID(topo.LinkID(li), d)
+			if loads[l] <= 0 {
+				continue
+			}
+			dirs = append(dirs, l)
+			base := TLProp{Kind: topo.TLPLinkLoad, Link: l.Link(), Dir: d, DirSpecified: true}
+			below, above := base, base
+			below.Max = loads[l] - 0.5
+			above.Max = loads[l] + 0.5
+			props = append(props, below, above)
+		}
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no loaded links")
+	}
+	res, err := n.VerifyPortfolio(props, VerifyOptions{K: 0, KSet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range dirs {
+		name := n.Topology().DirLinkName(l)
+		below, above := res.Verdicts[2*i], res.Verdicts[2*i+1]
+		if below.Status != tlp.StatusViolated || math.Abs(below.Value-loads[l]) > 1e-9 ||
+			len(below.FailedLinks) > 0 || len(below.FailedRouters) > 0 {
+			t.Errorf("%s below its load: %+v, want violated at %g with nothing failed", name, below, loads[l])
+		}
+		if above.Status != tlp.StatusHolds {
+			t.Errorf("%s above its load: status %v, want holds", name, above.Status)
+		}
 	}
 }
