@@ -258,3 +258,49 @@ func TestRunVerifyKZero(t *testing.T) {
 		t.Errorf("-k 0 and the spec's k=1 give the same report:\n%s", zero)
 	}
 }
+
+// TestRunVerifyTLPDomains: -domains reaches the portfolio engine. `yu
+// verify -tlp F -domains spec` prints the same bytes as the run without
+// -domains, and its metrics record the compose build that produced them.
+func TestRunVerifyTLPDomains(t *testing.T) {
+	tlpFile := filepath.Join(t.TempDir(), "wan.tlp")
+	portfolio := "tlp util 0.01\ntlp link d0r0-d0r1 max 5 if-failed d0r1-d0r2\n"
+	if err := os.WriteFile(tlpFile, []byte(portfolio), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) (string, metricsDoc) {
+		t.Helper()
+		args = append([]string{"-tlp", tlpFile, "-k", "1", "-workers", "1", "-metrics", "json"}, args...)
+		cfg, err := parseVerifyFlags(append(args, "../../testdata/wan-1.yu"), flag.ContinueOnError)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := runVerify(cfg, &stdout, &stderr); code != 1 {
+			t.Fatalf("runVerify %v = %d, want 1 (violations)\nstderr:\n%s", args, code, &stderr)
+		}
+		var doc metricsDoc
+		if err := json.Unmarshal(stderr.Bytes(), &doc); err != nil {
+			t.Fatalf("metrics: %v\n%s", err, &stderr)
+		}
+		return stdout.String(), doc
+	}
+	phases := func(doc metricsDoc) map[string]bool {
+		out := map[string]bool{}
+		for _, p := range doc.Phases {
+			out[p.Path] = true
+		}
+		return out
+	}
+	mono, monoDoc := run()
+	mod, modDoc := run("-domains", "spec")
+	if mod != mono {
+		t.Errorf("-domains spec portfolio:\n%s\nwant the monolithic portfolio:\n%s", mod, mono)
+	}
+	if p := phases(modDoc); !p["compose"] {
+		t.Errorf("-domains spec run recorded no compose phase: %v", p)
+	}
+	if p := phases(monoDoc); p["compose"] {
+		t.Errorf("monolithic run recorded a compose phase: %v", p)
+	}
+}

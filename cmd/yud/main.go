@@ -20,7 +20,7 @@
 //	POST /v1/save     persist warm state now
 //	GET  /v1/healthz  liveness + current version
 //
-// With -state DIR the warm STF cache and cost hints are persisted on
+// With -state DIR the warm STF cache is persisted on
 // shutdown (and on /v1/save) and restored at startup, so a restarted
 // daemon verifies an unchanged specification without re-executing
 // anything. -state also arms the delta write-ahead log: every accepted

@@ -54,27 +54,41 @@ func contained(fn func()) (err error) {
 }
 
 // executeGoverned runs one flow's symbolic execution through the
+// engine's budget ladder (governed).
+func (e *Engine) executeGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error) {
+	return e.governed(f, done, func() *FlowSTF { return e.ExecuteFlow(f) })
+}
+
+// governed builds class f's STF in the engine's manager — by executing
+// it, or by importing a copy executed in another manager — through the
 // degradation ladder:
 //
-//  1. plain ExecuteFlow (with the engine's managed GC);
+//  1. build, then the engine's managed GC;
 //  2. on a budget breach, an engine-wide GC keeping only the engine
-//     caches and the already-completed STFs, then one retry;
+//     caches and the already-completed STFs (done), then one retry;
 //  3. if the retry still breaches and the policy is BudgetDegrade, the
 //     flow is re-verified by bounded concrete enumeration
 //     (concreteFallbackSTF) and marked Degraded.
 //
 // Cancellation and non-budget errors are returned as-is at any rung.
-func (e *Engine) executeGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error) {
+func (e *Engine) governed(f topo.Flow, done []*FlowSTF, build func() *FlowSTF) (*FlowSTF, error) {
 	if err := govern.Check(e.opts.Ctx); err != nil {
 		return nil, err
 	}
-	s, err := e.tryExecute(f, done)
+	attempt := func() (s *FlowSTF, err error) {
+		err = mtbdd.Guard(func() {
+			s = build()
+			e.maybeGC(done, stfRoots(nil, []*FlowSTF{s}))
+		})
+		return s, err
+	}
+	s, err := attempt()
 	if err == nil || !errors.Is(err, govern.ErrNodeBudget) {
 		return s, err
 	}
 	e.opts.Obs.Counter("govern.budget_gc_retries").Inc()
 	e.m.GC(e.roots(stfRoots(nil, done)))
-	s, err = e.tryExecute(f, done)
+	s, err = attempt()
 	if err == nil || !errors.Is(err, govern.ErrNodeBudget) {
 		return s, err
 	}
@@ -82,18 +96,4 @@ func (e *Engine) executeGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error)
 		return nil, err
 	}
 	return e.concreteFallbackSTF(f, err)
-}
-
-// tryExecute is one governed attempt at symbolic execution: the flow is
-// executed and the manager collected if over threshold, with operation
-// aborts converted to errors.
-func (e *Engine) tryExecute(f topo.Flow, done []*FlowSTF) (s *FlowSTF, err error) {
-	err = mtbdd.Guard(func() {
-		s = e.ExecuteFlow(f)
-		e.maybeGC(done, stfRoots(nil, []*FlowSTF{s}))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -15,8 +15,8 @@ import (
 //
 // Instrumentation placement follows the overhead budget of DESIGN.md
 // §11: no time.Now() ever runs inside ExecuteFlow's wavefront loop. The
-// KREDUCE timer covers only the per-link aggregation loops (LinkLoad,
-// DeliveredLoad, the pruned checks, and their shard mirrors), where one
+// KREDUCE timer covers only the per-link aggregation loops (link and
+// delivered loads, the pruned checks, and their shard mirrors), where one
 // clock read per equivalence class is noise; KREDUCE effort during
 // symbolic execution is reported through the manager's cumulative
 // counters instead.

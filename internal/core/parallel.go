@@ -6,7 +6,7 @@
 //
 //   - Scheduling: the input flows are grouped into global-equivalence
 //     classes (§6, sched.go); one representative per class is the work
-//     unit. Classes are ordered by a cost model (persisted measurements
+//     unit. Classes are ordered by a cost model (measured hints
 //     or a topology heuristic) and packed into chunks, dealt round-robin
 //     onto per-worker deques: owners pop expensive chunks from the
 //     front, idle workers steal cheap ones from the back.
@@ -19,8 +19,9 @@
 //     wavefront in sorted order, so a worker computes bit-for-bit the
 //     same STF the sequential path would, regardless of which worker ran
 //     it or in what order.
-//   - Merge: the primary manager re-imports every class STF
-//     (mtbdd.Import) in class order — a slot array keyed by class index
+//   - Merge: the one class loop (buildClasses) re-imports every class
+//     STF into the primary manager (mtbdd.Import) in class order, under
+//     the execution budget ladder — a slot array keyed by class index
 //     makes the accumulation order independent of scheduling, so reports
 //     are byte-identical to the sequential path for every worker count.
 //     Hash-consing makes equal functions from different workers collapse
@@ -120,15 +121,10 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 	if workers <= 1 {
 		return NewVerifier(e, flows)
 	}
-	v := &Verifier{e: e, flows: flows, workers: workers,
-		kreduceT: e.opts.Obs.Timer("check/kreduce")}
-	v.classes, v.classOf = classifyFlows(e, flows)
+	v := newClassVerifier(e, flows, workers)
 	classes := v.classes
-	v.measured = make([]float64, len(classes))
-	v.execCount = len(classes)
-	v.sched = SchedStats{Classes: len(classes), DedupHits: dedupHits(classes)}
+	v.sched.Workers = 0 // the spawned count, set below
 	obsR := e.opts.Obs
-	obsR.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
 	if len(classes) == 0 {
 		return v
 	}
@@ -286,7 +282,6 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 		}
 	}
 	if v.err != nil {
-		v.execCount = 0
 		return v
 	}
 	if budgetErr != nil {
@@ -297,47 +292,22 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 			s, ferr := e.concreteFallbackSTF(classes[ci].rep, budgetErr)
 			if ferr != nil {
 				v.err = ferr
-				v.execCount = 0
 				return v
 			}
 			stfs[ci] = s
 		}
 	}
 
-	// Merge: rebuild every class STF in the primary manager, in class
-	// order, garbage-collecting as the unique table fills. The merge runs
-	// under the same budget ladder as execution: GC + retry on a breach,
-	// then (degrade policy) a concrete rebuild of the offending flow.
+	// Merge: the class loop imports every class STF into the primary
+	// manager, in class order, under the execution budget ladder.
 	mergeSpan := e.opts.Obs.Span("execute/merge")
 	defer mergeSpan.End()
-	v.stfs = make([]*FlowSTF, 0, len(classes))
-	for i, s := range stfs {
-		var out *FlowSTF
-		attempt := func() error {
-			return mtbdd.Guard(func() {
-				out = importSTF(e.m, s)
-				e.maybeGC(v.stfs, stfRoots(nil, []*FlowSTF{out}))
-			})
-		}
-		merr := attempt()
-		if merr != nil && errors.Is(merr, govern.ErrNodeBudget) {
-			e.m.GC(e.roots(stfRoots(nil, v.stfs)))
-			merr = attempt()
-		}
-		if merr != nil && errors.Is(merr, govern.ErrNodeBudget) && e.opts.OnBudget == BudgetDegrade {
-			out, merr = e.concreteFallbackSTF(classes[i].rep, merr)
-		}
-		if merr != nil {
-			v.err = merr
-			break
-		}
-		v.stfs = append(v.stfs, out)
-	}
-	v.execCount = len(v.stfs)
+	v.buildClasses(stfs)
 	return v
 }
 
-// importSTF rebuilds a shard-owned FlowSTF in the manager m.
+// importSTF rebuilds a FlowSTF owned by another manager (a shard's or a
+// compose domain's) in the manager m.
 func importSTF(m *mtbdd.Manager, s *FlowSTF) *FlowSTF {
 	out := &FlowSTF{
 		Flow:       s.Flow,

@@ -72,13 +72,6 @@ func (sc scanCtx) checkTau(tau *mtbdd.Node) *mtbdd.Node {
 	return tau
 }
 
-// checkRange looks for a counter-example terminal outside [min, max]
-// (Theorem 5.1: scanning the terminals of the KReduce'd STL suffices).
-func (sc scanCtx) checkRange(tau *mtbdd.Node, min, max float64) (mtbdd.Assignment, float64, bool) {
-	h := sc.m.ScanOutside(sc.checkTau(tau), []mtbdd.ScanCheck{boundScan(min, max)})[0]
-	return h.A, h.Value, h.OK
-}
-
 // scanClass is one link-local equivalence class of a link's load: an STF
 // node (in this context's manager) and the summed volume riding on it.
 type scanClass struct {

@@ -76,7 +76,8 @@ func TestOverloadEpsilonBoundary(t *testing.T) {
 	}
 }
 
-// TestRangeEpsilonBoundary pins the tolerant bound semantics of checkRange:
+// TestRangeEpsilonBoundary pins the tolerant bound semantics of an
+// explicit-bound scan (ScanLink with an unconditional LinkCheck):
 // a value passes a max bound up to max + loadEpsilon and a min bound down
 // to min - loadEpsilon, identically at ±ε and ±2ε.
 func TestRangeEpsilonBoundary(t *testing.T) {
@@ -86,7 +87,10 @@ func TestRangeEpsilonBoundary(t *testing.T) {
 	if !ok {
 		t.Fatal("no link C->E")
 	}
-	tau, _ := fx.ver.LinkLoad(d)
+	violated := func(min, max float64) bool {
+		res, _, _ := fx.ver.ScanLink(d, []LinkCheck{{Min: min, Max: max, CondVar: -1}})
+		return res[0].Violated
+	}
 	maxCases := []struct {
 		name     string
 		max      float64
@@ -99,8 +103,7 @@ func TestRangeEpsilonBoundary(t *testing.T) {
 		{"max+2eps", worst + 2*loadEpsilon, false},
 	}
 	for _, c := range maxCases {
-		_, _, viol := fx.ver.checkRange(tau, 0, c.max)
-		if viol != c.wantViol {
+		if viol := violated(0, c.max); viol != c.wantViol {
 			t.Errorf("%s: violated=%v, want %v", c.name, viol, c.wantViol)
 		}
 	}
@@ -118,8 +121,7 @@ func TestRangeEpsilonBoundary(t *testing.T) {
 		{"min+2eps", 2 * loadEpsilon, true},
 	}
 	for _, c := range minCases {
-		_, _, viol := fx.ver.checkRange(tau, c.min, worst+1)
-		if viol != c.wantViol {
+		if viol := violated(c.min, worst+1); viol != c.wantViol {
 			t.Errorf("%s: violated=%v, want %v", c.name, viol, c.wantViol)
 		}
 	}

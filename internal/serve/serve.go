@@ -25,7 +25,7 @@
 //     accepted delta batch is journaled to a checksummed write-ahead log
 //     (wal.go) before it is published, and replayed at startup — a
 //     killed daemon restarted on the same spec file reconstructs exactly
-//     the pre-crash version. The warm STF cache and cost hints persist
+//     the pre-crash version. The warm STF cache persists
 //     through fsync'd atomic renames (persist.go) as a latency aid;
 //     corrupt warm state starts cold, never wrong.
 package serve
@@ -58,7 +58,7 @@ type Config struct {
 	// against factor × capacity (mirrors yu.VerifyOptions).
 	OverloadFactor float64
 	// StatePath is a directory for durable state: the delta WAL plus the
-	// warm STF cache and cost hints. Empty disables persistence (and with
+	// warm STF cache. Empty disables persistence (and with
 	// it crash recovery of deltas).
 	StatePath string
 	// Obs receives the daemon's metrics; nil creates a private registry.
@@ -171,15 +171,12 @@ type Server struct {
 
 	inflight chan struct{}
 
-	hintsMu sync.Mutex
-	hints   map[string]float64
-
 	everRan atomic.Bool
 }
 
 // NewServer creates a server with no loaded spec. If cfg.StatePath is
 // set, persisted warm state is loaded best-effort (corrupt state logs a
-// warning and starts cold, like a corrupt cost-hints file); the delta
+// warning and starts cold); the delta
 // WAL is attached and replayed on the first LoadSpecText.
 func NewServer(cfg Config) *Server {
 	if cfg.CacheLimit <= 0 {
@@ -200,7 +197,6 @@ func NewServer(cfg Config) *Server {
 		reg:      reg,
 		store:    newSTFStore(cfg.CacheLimit),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
-		hints:    make(map[string]float64),
 	}
 	for _, name := range obs.ServeCounterNames {
 		reg.Counter(name)
@@ -485,14 +481,13 @@ func (v *version) prepare() {
 	defer cancel()
 	rc := newRunCache(s)
 	v.run, v.runErr = yu.FromSpec(v.spec).Prepare(yu.VerifyOptions{
-		K:         s.cfg.K,
-		Mode:      s.cfg.Mode,
-		ModeSet:   s.cfg.ModeSet,
-		Workers:   1,
-		Ctx:       ctx,
-		Obs:       s.reg,
-		CostHints: s.copyHints(),
-		STFCache:  rc,
+		K:        s.cfg.K,
+		Mode:     s.cfg.Mode,
+		ModeSet:  s.cfg.ModeSet,
+		Workers:  1,
+		Ctx:      ctx,
+		Obs:      s.reg,
+		STFCache: rc,
 	})
 	v.stats = RunStats{CacheHits: rc.hits, CacheMisses: rc.misses}
 	if v.run != nil && v.run.Err() == nil {
@@ -524,25 +519,4 @@ func (v *version) computeReport() {
 	v.result.Report, v.result.Err = rep, err
 	v.result.Holds = rep.Holds
 	v.result.Text = canon.FormatReport(v.spec.Net, rep)
-	s.mergeHints(rep.CostHints)
-}
-
-func (s *Server) copyHints() map[string]float64 {
-	s.hintsMu.Lock()
-	defer s.hintsMu.Unlock()
-	out := make(map[string]float64, len(s.hints))
-	for k, c := range s.hints {
-		out[k] = c
-	}
-	return out
-}
-
-func (s *Server) mergeHints(hints map[string]float64) {
-	s.hintsMu.Lock()
-	for k, c := range hints {
-		if c > 0 {
-			s.hints[k] = c
-		}
-	}
-	s.hintsMu.Unlock()
 }

@@ -268,8 +268,41 @@ func TestWarmStateRestart(t *testing.T) {
 	}
 }
 
+// TestWarmStateOldHintsFile: a state directory written by a daemon that
+// still persisted scheduler cost hints next to the warm cache loads its
+// warm cache normally; the leftover costhints.json is ignored.
+func TestWarmStateOldHintsFile(t *testing.T) {
+	dir := t.TempDir()
+	raw := readSpec(t, "motivating.yu")
+	s1 := serve.NewServer(serve.Config{StatePath: dir})
+	if _, err := s1.LoadSpecText(raw); err != nil {
+		t.Fatal(err)
+	}
+	res1 := mustReport(t, s1)
+	if err := s1.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "costhints.json")
+	if err := os.WriteFile(old, []byte(`{"A|10.0.0.0|0": 1234}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := serve.NewServer(serve.Config{StatePath: dir})
+	if _, err := s2.LoadSpecText(raw); err != nil {
+		t.Fatal(err)
+	}
+	res2 := mustReport(t, s2)
+	if res2.Stats.CacheMisses != 0 || res2.Stats.CacheHits != 2 {
+		t.Fatalf("warm cache next to an old hints file: hits/misses = %d/%d, want 2/0",
+			res2.Stats.CacheHits, res2.Stats.CacheMisses)
+	}
+	if res2.Text != res1.Text {
+		t.Fatalf("report differs:\n--- before\n%s\n--- after\n%s", res1.Text, res2.Text)
+	}
+}
+
 // TestWarmStateCorrupt: a truncated or garbage state file must log and
-// start cold, never fail or panic — the same contract as cost hints.
+// start cold, never fail or panic.
 func TestWarmStateCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	raw := readSpec(t, "misconfig.yu")

@@ -112,3 +112,50 @@ func TestPreparedCutShort(t *testing.T) {
 		t.Errorf("portfolio after a canceled query: err %v, incomplete %v", err, res.Incomplete)
 	}
 }
+
+// wanPortfolio mixes every scan shape on wan-1: an all-links utilization
+// bound, a delivered bound, a conditional link bound and a directed one.
+const wanPortfolio = `tlp util 0.01
+tlp delivered 100.0.2.0/24 min 9
+tlp link d0r0-d0r1 max 5 if-failed d0r1-d0r2
+tlp dirlink d0r2->d0r3 max 1
+`
+
+// TestModularPortfolioMatchesMonolithic: VerifyPortfolio honors Domains
+// and its canonical output equals the monolithic run's byte for byte.
+func TestModularPortfolioMatchesMonolithic(t *testing.T) {
+	n, err := yu.LoadFile("testdata/wan-1.yu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := n.Topology()
+	props, err := config.ParsePortfolioString(wanPortfolio, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2} {
+		mono, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: k, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := yu.NewMetrics()
+		mod, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: k, Workers: 1, Domains: n.Spec().Domains, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := canon.FormatPortfolio(net, mono), canon.FormatPortfolio(net, mod)
+		if got != want {
+			t.Errorf("k=%d: modular portfolio differs\n--- modular\n%s\n--- monolithic\n%s", k, got, want)
+		}
+		if mono.Holds {
+			t.Errorf("k=%d: portfolio holds; want violations to compare", k)
+		}
+		phases := map[string]bool{}
+		for _, ph := range reg.Snapshot().Phases {
+			phases[ph.Path] = true
+		}
+		if !phases["compose"] || phases["routesim"] {
+			t.Errorf("k=%d: phases %v, want a compose build and no whole-network route simulation", k, phases)
+		}
+	}
+}

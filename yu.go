@@ -33,7 +33,6 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"sync"
 	"time"
 
 	"github.com/yu-verify/yu/internal/compose"
@@ -472,23 +471,31 @@ func governed(err error) bool {
 // symbolic execution of every flow, the paper's §4 pipeline — kept ready
 // to answer any number of property queries: Report checks legacy
 // properties, Portfolio evaluates TLP portfolios, and neither repeats
-// route simulation or execution. Both methods serialize on the handle
-// (an MTBDD manager is single-threaded), so a Prepared is safe for
-// concurrent use. It holds its manager's nodes for as long as it is
+// route simulation or execution. Both methods take the handle's one
+// query slot (an MTBDD manager is single-threaded), so a Prepared is safe
+// for concurrent use; a query waits for the slot only as long as its
+// context allows. It holds its manager's nodes for as long as it is
 // referenced.
 type Prepared struct {
-	n         *Network
-	reg       *Metrics
-	k         int
-	mode      FailureMode
-	flows     []Flow
-	start     time.Time
+	n     *Network
+	reg   *Metrics
+	k     int
+	mode  FailureMode
+	flows []Flow
+	start time.Time
+	// routeTime is the route-simulation time, or the whole compose build
+	// time on a modular run.
 	routeTime time.Duration
+	// modular is the compositional build's summary; nil on monolithic
+	// runs.
+	modular *ModularStats
 
-	mu  sync.Mutex
-	m   *mtbdd.Manager
-	eng *core.Engine   // nil when route simulation was cut short
-	ver *core.Verifier // nil when route simulation was cut short
+	// slot is the one-query semaphore: a query holds it while it uses
+	// the manager.
+	slot chan struct{}
+	m    *mtbdd.Manager
+	eng  *core.Engine   // nil when the run was cut short before execution
+	ver  *core.Verifier // nil when the run was cut short before execution
 	// err is the governance error (cancellation, deadline, node budget)
 	// that cut route simulation or execution short.
 	err error
@@ -499,12 +506,11 @@ type Prepared struct {
 
 // Prepare runs route simulation and symbolic execution once under opts
 // (EngineYU only; the K/Mode/Flows overrides, Workers, governance, Obs,
-// CostHints and STFCache are honored as in Verify) and returns the
-// handle that answers queries from that run. Prepare always builds the
-// monolithic pipeline: Domains and AutoDomains are ignored, as in
-// VerifyPortfolio. A run cut short by governance still yields a handle:
-// Err reports why, and every query answers with unchecked targets and
-// that error. Other failures return a nil handle and the error.
+// CostHints, STFCache, Domains and AutoDomains are honored as in Verify)
+// and returns the handle that answers queries from that run. A run cut
+// short by governance still yields a handle: Err reports why, and every
+// query answers with unchecked targets and that error. Other failures
+// return a nil handle and the error.
 func (n *Network) Prepare(opts VerifyOptions) (*Prepared, error) {
 	if opts.Engine != EngineYU {
 		return nil, fmt.Errorf("yu: Prepare supports the yu engine only")
@@ -513,15 +519,27 @@ func (n *Network) Prepare(opts VerifyOptions) (*Prepared, error) {
 }
 
 // prepare is the one setup path of the symbolic engine: resolve the run
-// shape, build the failure variables, run route simulation, and execute
-// every flow.
+// shape, then build the verifier — compositionally when opts names
+// domains (DESIGN.md §17), else by whole-network route simulation and
+// execution. Reports are byte-identical either way.
 func (n *Network) prepare(opts VerifyOptions, start time.Time) (*Prepared, error) {
 	k, mode, flows := n.resolve(opts)
-	p := &Prepared{n: n, reg: opts.Obs, k: k, mode: mode, flows: flows, start: start, m: mtbdd.New()}
+	p := &Prepared{n: n, reg: opts.Obs, k: k, mode: mode, flows: flows, start: start,
+		slot: make(chan struct{}, 1)}
 	budget, checkK := k, 0
 	if opts.DisableKReduce {
 		budget, checkK = -1, k
 	}
+	if opts.Domains != nil || opts.AutoDomains > 0 {
+		built, err := n.prepareModular(p, opts, budget, checkK)
+		if err != nil {
+			return nil, err
+		}
+		if built {
+			return p, nil
+		}
+	}
+	p.m = mtbdd.New()
 	fv := routesim.NewFailVars(p.m, n.spec.Net, mode, budget)
 	if opts.MaxNodes > 0 {
 		p.m.SetNodeBudget(opts.MaxNodes)
@@ -555,57 +573,136 @@ func (n *Network) prepare(opts VerifyOptions, start time.Time) (*Prepared, error
 	return p, nil
 }
 
+// prepareModular is prepare's compositional branch: partition the
+// topology into AS-closed domains and build the verifier through
+// internal/compose. It reports built=false when the composition cannot
+// handle the input (incomposable configs, a budget the domains could not
+// hold); the whole-network branch then reproduces the verdict or the
+// error. An invalid partition is a configuration error; a canceled or
+// expired build keeps its typed error on the handle.
+func (n *Network) prepareModular(p *Prepared, opts VerifyOptions, budget, checkK int) (built bool, err error) {
+	var part *topo.Partition
+	if opts.Domains != nil {
+		part, err = topo.NewPartition(n.spec.Net, opts.Domains)
+	} else {
+		part, err = topo.AutoPartition(n.spec.Net, opts.AutoDomains)
+	}
+	if err != nil {
+		return false, err
+	}
+	composeStart := time.Now()
+	b, err := compose.Build(n.spec.Net, n.spec.Configs, part, p.flows, compose.Options{
+		K:                     budget,
+		CheckK:                checkK,
+		Mode:                  p.mode,
+		Workers:               opts.Workers,
+		MaxNodes:              opts.MaxNodes,
+		OnBudget:              opts.OnBudget,
+		Ctx:                   opts.Ctx,
+		Obs:                   opts.Obs,
+		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
+		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
+		CostHints:             opts.CostHints,
+	})
+	p.routeTime = time.Since(composeStart)
+	opts.Obs.AddPhase("compose", p.routeTime)
+	if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) {
+		p.m, p.err = mtbdd.New(), err
+		return true, nil
+	}
+	if err != nil {
+		return false, nil
+	}
+	p.eng, p.ver, p.m = b.Engine, b.Verifier, b.Engine.Manager()
+	p.modular = &b.Stats
+	p.err = p.ver.Err()
+	return true, nil
+}
+
 // Err returns the governance error that cut the prepared run short, or
 // nil if route simulation and execution completed.
 func (p *Prepared) Err() error { return p.err }
 
-// record snapshots the manager's work since the previous record into the
-// run's metrics registry (caller holds p.mu).
-func (p *Prepared) record() {
+// acquire takes the handle's query slot, waiting at most until ctx is
+// done (a nil ctx waits unbounded). It returns the context's typed error
+// (ErrCanceled / ErrDeadline) when the query gives up.
+func (p *Prepared) acquire(ctx context.Context) error {
+	if ctx == nil {
+		p.slot <- struct{}{}
+		return nil
+	}
+	select {
+	case p.slot <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return govern.Check(ctx)
+	}
+}
+
+// release records the query's manager work into the run's metrics
+// registry and frees the query slot.
+func (p *Prepared) release() {
 	core.RecordManagerSince(p.reg, "primary", p.m, &p.recorded)
+	<-p.slot
 }
 
 // Report checks load bounds, delivered bounds and, when overloadFactor >
 // 0, the all-links overload property against the prepared run: the
-// report Verify renders for those properties. ctx bounds the checks (nil
-// leaves them unbounded). A run cut short in Prepare yields a partial
-// report with every requested target unchecked, plus the run's error.
+// report Verify renders for those properties. ctx bounds the checks and
+// the wait for the handle (nil leaves both unbounded). A run cut short
+// in Prepare, or a query that gave up waiting, yields a partial report
+// with every requested target unchecked, plus the typed error.
 func (p *Prepared) Report(ctx context.Context, bounds []LoadBound, delivered []DeliveredBound, overloadFactor float64) (*Report, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	defer p.record()
+	if err := p.acquire(ctx); err != nil {
+		return p.unchecked(bounds, delivered, overloadFactor), err
+	}
+	defer p.release()
 	if p.ver == nil {
-		out := &Report{
-			Elapsed:      time.Since(p.start),
-			RouteSimTime: p.routeTime,
-			FlowsTotal:   len(p.flows),
-			MTBDDNodes:   p.m.Stats().Live,
-		}
-		p.n.markAllUnchecked(out, bounds, delivered, overloadFactor)
+		out := p.unchecked(bounds, delivered, overloadFactor)
+		out.MTBDDNodes = p.m.Stats().Live
 		return out, p.err
 	}
 	p.eng.SetContext(ctx)
 	checkSpan := p.reg.Span("check")
 	rep, err := p.ver.Run(bounds, delivered, overloadFactor)
 	checkSpan.End()
-	return newReport(rep, p.ver, p.m, p.start, p.routeTime), err
+	out := newReport(rep, p.ver, p.m, p.start, p.routeTime)
+	if p.modular != nil {
+		stats := *p.modular
+		out.Modular = &stats
+	}
+	return out, err
+}
+
+// unchecked is the report of a query that cannot run its checks: every
+// requested target is unchecked.
+func (p *Prepared) unchecked(bounds []LoadBound, delivered []DeliveredBound, overloadFactor float64) *Report {
+	out := &Report{
+		Elapsed:      time.Since(p.start),
+		RouteSimTime: p.routeTime,
+		FlowsTotal:   len(p.flows),
+	}
+	p.n.markAllUnchecked(out, bounds, delivered, overloadFactor)
+	return out
 }
 
 // Portfolio evaluates a property portfolio with the batch TLP engine
 // against the prepared run: each directed link's load is aggregated and
 // terminal-scanned once however many properties ride on it. ctx bounds
-// the evaluation (nil leaves it unbounded). Compile errors return a nil
-// result. A run cut short in Prepare, or an evaluation cut short by ctx,
-// returns the typed error with a partial result whose undecided
+// the evaluation and the wait for the handle (nil leaves both
+// unbounded). Compile errors return a nil result. A run cut short in
+// Prepare, an evaluation cut short by ctx, or a query that gave up
+// waiting returns the typed error with a partial result whose undecided
 // properties are StatusUnchecked.
 func (p *Prepared) Portfolio(ctx context.Context, props []TLProp) (*TLPResult, error) {
 	port, err := tlp.Compile(p.n.spec.Net, p.flows, props)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	defer p.record()
+	if err := p.acquire(ctx); err != nil {
+		return tlp.AllUnchecked(props), err
+	}
+	defer p.release()
 	if p.err != nil {
 		return tlp.AllUnchecked(props), p.err
 	}
@@ -639,9 +736,10 @@ func newReport(rep *core.Report, ver *core.Verifier, m *mtbdd.Manager, start tim
 // engine (EngineYU only): one symbolic execution serves every property,
 // each directed link's load aggregated and terminal-scanned exactly once
 // however many properties ride on it. Options are honored as in Verify
-// (K/Mode/Flows overrides, Workers, governance, Obs, STFCache); the
-// portfolio itself replaces the spec's legacy properties. The result is
-// byte-stable across worker counts (canon.FormatPortfolio). It is
+// (K/Mode/Flows overrides, Workers, governance, Obs, STFCache, Domains);
+// the portfolio itself replaces the spec's legacy properties. The result
+// is byte-stable across worker counts and partitions
+// (canon.FormatPortfolio). It is
 // Prepare followed by one Portfolio query.
 //
 // Like Verify, a governed abort returns the typed error together with a
@@ -654,10 +752,10 @@ func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResul
 	return p.Portfolio(opts.Ctx, props)
 }
 
+// verifyYU is the symbolic engine's Verify: prepare, one Report query,
+// and rung 4 of the degradation ladder when the budget could not hold
+// the symbolic run.
 func (n *Network) verifyYU(opts VerifyOptions, start time.Time) (*Report, error) {
-	if opts.Domains != nil || opts.AutoDomains > 0 {
-		return n.verifyModular(opts, start)
-	}
 	p, err := n.prepare(opts, start)
 	if err != nil {
 		return nil, err
@@ -676,74 +774,4 @@ func (n *Network) verifyYU(opts VerifyOptions, start time.Time) (*Report, error)
 		return n.degradeWhole(p.k, p.mode, p.flows, opts, start, p.routeTime)
 	}
 	return rep, err
-}
-
-// verifyModular is the compositional pipeline (DESIGN.md §17): partition
-// the topology into AS-closed domains, verify each domain against
-// interface summaries via internal/compose, and run the usual checks on
-// the assembled verifier. Reports are byte-identical to monolithic runs;
-// inputs the composition cannot handle (incomposable configs, governed
-// domain builds under BudgetDegrade) fall back to the whole-network
-// pipeline, which reproduces the verdict or the error.
-func (n *Network) verifyModular(opts VerifyOptions, start time.Time) (*Report, error) {
-	var part *topo.Partition
-	var perr error
-	if opts.Domains != nil {
-		part, perr = topo.NewPartition(n.spec.Net, opts.Domains)
-	} else {
-		part, perr = topo.AutoPartition(n.spec.Net, opts.AutoDomains)
-	}
-	if perr != nil {
-		return nil, perr // an invalid partition is a configuration error
-	}
-	k, mode, flows := n.resolve(opts)
-	budget, checkK := k, 0
-	if opts.DisableKReduce {
-		budget, checkK = -1, k
-	}
-	composeStart := time.Now()
-	built, err := compose.Build(n.spec.Net, n.spec.Configs, part, flows, compose.Options{
-		K:                     budget,
-		CheckK:                checkK,
-		Mode:                  mode,
-		Workers:               opts.Workers,
-		MaxNodes:              opts.MaxNodes,
-		OnBudget:              opts.OnBudget,
-		Ctx:                   opts.Ctx,
-		Obs:                   opts.Obs,
-		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
-		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-		CostHints:             opts.CostHints,
-	})
-	composeTime := time.Since(composeStart)
-	opts.Obs.AddPhase("compose", composeTime)
-	if err != nil {
-		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) {
-			out := &Report{
-				Elapsed:      time.Since(start),
-				RouteSimTime: composeTime,
-				FlowsTotal:   len(flows),
-			}
-			n.markAllUnchecked(out, n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
-			return out, err
-		}
-		// Incomposable input or a budget the domains could not hold: the
-		// monolithic pipeline reproduces the verdict or the error.
-		mono := opts
-		mono.Domains, mono.AutoDomains = nil, 0
-		return n.verifyYU(mono, start)
-	}
-	ver := built.Verifier
-	checkSpan := opts.Obs.Span("check")
-	rep, verr := ver.Run(n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
-	checkSpan.End()
-	core.RecordManager(opts.Obs, "primary", built.Engine.Manager())
-	if verr == nil && rep.Incomplete && opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 {
-		// Rung 4, exactly as in the monolithic pipeline.
-		return n.degradeWhole(k, mode, flows, opts, start, composeTime)
-	}
-	stats := built.Stats
-	out := newReport(rep, ver, built.Engine.Manager(), start, composeTime)
-	out.Modular = &stats
-	return out, verr
 }
