@@ -132,7 +132,7 @@ func parseVerifyFlags(args []string, eh flag.ErrorHandling) (*verifyConfig, erro
 	})
 	fs.BoolVar(&cfg.noKReduce, "no-kreduce", false, "disable k-failure MTBDD reduction (ablation)")
 	fs.BoolVar(&cfg.noEquiv, "no-equiv", false, "disable flow equivalence reductions (ablation)")
-	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "parallel workers for the yu engine (1 = sequential)")
+	fs.IntVar(&cfg.workers, "workers", 1, "concurrent link-check workers for the yu engine (1 = sequential)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "abort verification after this duration (0 = none)")
 	fs.IntVar(&cfg.maxNodes, "max-nodes", 0, "live MTBDD node budget (0 = unlimited)")
 	fs.Func("on-budget", "node-budget policy: fail (typed error) or degrade (concrete fallback) (default fail)", func(s string) error {

@@ -14,11 +14,10 @@
 // -baseline-budget and report "> budget (timeout)" when exceeded, just as
 // the paper reports "> 3600" cells.
 //
-// The workers experiment sweeps the parallel pipeline's worker count on
+// The workers experiment sweeps the link-check pool's worker count on
 // the medium WAN case; the scaling experiment sweeps workers × k with a
 // per-phase breakdown (route simulation / execution / checking), records
-// GOMAXPROCS in every row, warm-starts the scheduler's cost model from
-// the 1-worker round, and with -require-speedup gates CI on the 4-worker
+// GOMAXPROCS in every row, and with -require-speedup gates CI on the 4-worker
 // exec+check time beating 1 worker by >10% (skipped below 4 cores); the
 // kernels experiment compares the fused MTBDD kernels against the
 // composed build-then-reduce pipeline on N0; the tlp experiment sweeps

@@ -14,7 +14,7 @@ import (
 )
 
 // scalingRun is one measured verification with the per-phase breakdown
-// and scheduler statistics the scaling sweep records.
+// the scaling sweep records.
 type scalingRun struct {
 	routeTime time.Duration
 	execTime  time.Duration
@@ -22,15 +22,12 @@ type scalingRun struct {
 	executed  int
 	viols     int
 	nodes     int
-	sched     core.SchedStats
-	hints     map[string]float64
 }
 
 // runScaling executes the pipeline once at a given worker count, timing
-// route simulation, symbolic execution (the work-stealing pool), and
-// checking (the link-cursor pool) separately. hints, when non-nil,
-// warm-starts the scheduler's cost model.
-func runScaling(spec *config.Spec, flows []topo.Flow, k, workers int, hints map[string]float64) (*scalingRun, error) {
+// route simulation, symbolic execution (sequential in the primary
+// manager), and checking (the link-cursor pool) separately.
+func runScaling(spec *config.Spec, flows []topo.Flow, k, workers int) (*scalingRun, error) {
 	r := &scalingRun{}
 	m := mtbdd.New()
 	fv := routesim.NewFailVars(m, spec.Net, topo.FailLinks, k)
@@ -40,7 +37,7 @@ func runScaling(spec *config.Spec, flows []topo.Flow, k, workers int, hints map[
 		return nil, err
 	}
 	r.routeTime = time.Since(start)
-	eng := core.NewEngine(rs, core.Options{CostHints: hints})
+	eng := core.NewEngine(rs, core.Options{})
 	start = time.Now()
 	ver := core.NewParallelVerifier(eng, flows, workers)
 	r.execTime = time.Since(start)
@@ -53,17 +50,13 @@ func runScaling(spec *config.Spec, flows []topo.Flow, k, workers int, hints map[
 	r.executed = rep.FlowsExecuted
 	r.viols = len(rep.Violations)
 	r.nodes = m.Stats().Live
-	r.sched = ver.SchedStats()
-	r.hints = ver.CostHints()
 	return r, nil
 }
 
 // ScalingSweep is the multicore scaling experiment: workers × k on the
-// medium WAN cases, with the per-phase breakdown (route simulation is
-// worker-independent; execution and checking are the phases the scheduler
-// parallelizes). The workers=1 round runs first and its measured per-class
-// costs warm-start the cost model of every workers>1 round — the sweep
-// exercises the persisted-hints path exactly as a production rerun would.
+// medium WAN cases, with the per-phase breakdown (route simulation and
+// execution are worker-independent; checking is the phase the link-check
+// pool parallelizes).
 //
 // Speedup is computed over exec+check only (route simulation is shared
 // and sequential by design). Every record carries GOMAXPROCS: on a host
@@ -96,18 +89,14 @@ func ScalingSweep(w io.Writer, scale Scale, workersList []int) ([]BenchRecord, e
 		}
 		fmt.Fprintf(w, "Scaling sweep: %s (%d routers, %d links), %d flows, GOMAXPROCS=%d\n",
 			c.name, spec.Net.NumRouters(), spec.Net.NumLinks(), len(flows), procs)
-		fmt.Fprintf(w, "%-4s %-8s %12s %12s %12s %8s %8s %9s\n",
-			"k", "workers", "routesim", "exec", "check", "steals", "chunks", "speedup")
+		fmt.Fprintf(w, "%-4s %-8s %12s %12s %12s %9s\n",
+			"k", "workers", "routesim", "exec", "check", "speedup")
 		for _, k := range ks {
-			var hints map[string]float64
 			var base time.Duration
 			for _, workers := range workersList {
-				run, err := runScaling(spec, flows, k, workers, hints)
+				run, err := runScaling(spec, flows, k, workers)
 				if err != nil {
 					return nil, err
-				}
-				if hints == nil {
-					hints = run.hints
 				}
 				execCheck := run.execTime + run.checkTime
 				if base == 0 {
@@ -126,15 +115,14 @@ func ScalingSweep(w io.Writer, scale Scale, workersList []int) ([]BenchRecord, e
 					ExecMS:          float64(run.execTime.Microseconds()) / 1000,
 					CheckMS:         float64(run.checkTime.Microseconds()) / 1000,
 					ExecCheckMS:     float64(execCheck.Microseconds()) / 1000,
-					Steals:          run.sched.Steals,
 					PeakUniqueNodes: run.nodes,
 					FlowsExecuted:   run.executed,
 					Violations:      run.viols,
 					Speedup:         speedup,
 				})
-				fmt.Fprintf(w, "%-4d %-8d %12s %12s %12s %8d %8d %8.2fx\n",
+				fmt.Fprintf(w, "%-4d %-8d %12s %12s %12s %8.2fx\n",
 					k, workers, fmtDur(run.routeTime, false), fmtDur(run.execTime, false),
-					fmtDur(run.checkTime, false), run.sched.Steals, run.sched.Chunks, speedup)
+					fmtDur(run.checkTime, false), speedup)
 			}
 		}
 	}

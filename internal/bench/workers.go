@@ -30,17 +30,12 @@ type BenchRecord struct {
 	WallMS     float64 `json:"wall_ms"`
 	RouteSimMS float64 `json:"route_sim_ms"`
 	// ExecMS and CheckMS break ExecCheckMS into the symbolic-execution
-	// phase (the work-stealing pool) and the link-check phase (the cursor
-	// pool) — the scaling experiment's per-phase evidence.
+	// phase and the link-check phase (the cursor pool) — the scaling
+	// experiment's per-phase evidence.
 	ExecMS  float64 `json:"exec_ms,omitempty"`
 	CheckMS float64 `json:"check_ms,omitempty"`
-	// Steals counts chunks executed by a worker other than the one they
-	// were dealt to (scaling experiment only).
-	Steals int `json:"steals,omitempty"`
 	// PeakUniqueNodes is the primary manager's peak unique-table size.
-	// Shard managers are private and excluded: with workers>1 the
-	// execution intermediates live in shards, so this measures what the
-	// merged STFs and the checking phase cost the primary table.
+	// Check-shard managers are private and excluded.
 	PeakUniqueNodes int `json:"peak_unique_nodes"`
 	// CreatedNodes counts every node the primary manager hash-consed
 	// over the run's lifetime — unlike the peak it cannot be masked by
@@ -87,17 +82,15 @@ func WriteBenchJSON(path string, records []BenchRecord) error {
 }
 
 // WorkersSweep measures end-to-end verification wall time on the medium
-// WAN case across worker counts: the scaling experiment for the parallel
-// pipeline (sharded execution + concurrent link checking). workers=1 runs
-// the exact legacy sequential path, so its row doubles as the regression
-// baseline.
+// WAN case across worker counts: the scaling experiment for the
+// concurrent link-check pool. workers=1 checks sequentially, so its row
+// doubles as the regression baseline.
 //
 // Single-run efficiency is the paper's claim; this sweep is ours: with P
-// workers the flow shards and the per-link checks run on P private MTBDD
-// managers, and the speedup column shows how far that carries on the
-// current host. On a single-core host (GOMAXPROCS=1) expect ~1.0×: the
-// pipeline adds sharding and import overhead but no extra cores to spend
-// it on.
+// workers the per-link checks run on P private MTBDD managers, and the
+// speedup column shows how far that carries on the current host. On a
+// single-core host (GOMAXPROCS=1) expect ~1.0×: the pool adds import
+// overhead but no extra cores to spend it on.
 func WorkersSweep(w io.Writer, scale Scale, workersList []int) ([]BenchRecord, error) {
 	c := wanCases(scale)[1] // N1: the medium WAN
 	spec, flows, err := buildWAN(c)

@@ -66,7 +66,6 @@ type Options struct {
 
 	DisableLinkLocalEquiv bool
 	DisableGlobalEquiv    bool
-	CostHints             map[string]float64
 }
 
 // Stats summarizes a compositional build.
@@ -331,7 +330,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	})
 
 	// Global equivalence classes, assigned to domains by ingress.
-	reps, _ := core.GlobalClasses(net, prefixes, flows, opts.DisableGlobalEquiv)
+	reps, _ := core.GlobalClasses(prefixes, flows, opts.DisableGlobalEquiv)
 	classesOf := make([][]int, nd)
 	for i, rep := range reps {
 		d := part.Domain[rep.Ingress]
@@ -465,9 +464,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	} else {
 		rsCheck = routesim.EmptyResult(fvCheck)
 	}
-	checkOpts := engOpts(opts.MaxNodes, opts.OnBudget, cfgs)
-	checkOpts.CostHints = opts.CostHints
-	eng := core.NewEngine(rsCheck, checkOpts)
+	eng := core.NewEngine(rsCheck, engOpts(opts.MaxNodes, opts.OnBudget, cfgs))
 	ver := core.NewAssembledVerifier(eng, flows, opts.Workers, pre)
 	return &Built{Verifier: ver, Engine: eng, Stats: st}, nil
 }

@@ -25,11 +25,8 @@ import (
 // pre[i] == nil marks a class beyond the domains' precision limit, which
 // is executed natively on e (e's route-sim result must then cover the
 // whole network). Both go through the one class loop and its budget
-// ladder, exactly as in NewVerifier and NewParallelVerifier.
+// ladder, exactly as in NewParallelVerifier.
 func NewAssembledVerifier(e *Engine, flows []topo.Flow, workers int, pre []*FlowSTF) *Verifier {
-	if workers < 1 {
-		workers = 1
-	}
 	v := newClassVerifier(e, flows, workers)
 	if len(pre) != len(v.classes) {
 		// The coordinator classified with a different prefix set than the
@@ -69,6 +66,24 @@ func TranslateSTF(s *FlowSTF, toGlobal []topo.LinkID, flow topo.Flow) *FlowSTF {
 	for l, w := range s.Links {
 		gl := toGlobal[l.Link()]
 		out.Links[topo.MakeDirLinkID(gl, l.Dir())] = w
+	}
+	return out
+}
+
+// importSTF rebuilds a FlowSTF owned by another manager (a compose
+// domain's) in the manager m.
+func importSTF(m *mtbdd.Manager, s *FlowSTF) *FlowSTF {
+	out := &FlowSTF{
+		Flow:       s.Flow,
+		Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(s.Links)),
+		Delivered:  m.Import(s.Delivered),
+		Dropped:    m.Import(s.Dropped),
+		InFlight:   m.Import(s.InFlight),
+		Iterations: s.Iterations,
+		Degraded:   s.Degraded,
+	}
+	for l, w := range s.Links {
+		out.Links[l] = m.Import(w)
 	}
 	return out
 }

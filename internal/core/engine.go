@@ -73,9 +73,9 @@ type Options struct {
 	// govern.ErrCanceled / govern.ErrDeadline from Verifier.Run.
 	Ctx context.Context
 	// NodeBudget, when > 0, bounds the live nodes of every manager the
-	// pipeline creates (the primary and each shard's). A breach first
-	// triggers a managed GC and one retry; what happens if the retry
-	// still breaches is decided by OnBudget.
+	// pipeline creates (the primary and each check shard's). A breach
+	// first triggers a managed GC and one retry; what happens if the
+	// retry still breaches is decided by OnBudget.
 	NodeBudget int
 	// OnBudget selects the response to an unrelieved budget breach.
 	OnBudget BudgetPolicy
@@ -88,12 +88,6 @@ type Options struct {
 	// counters, and per-manager MTBDD stats (DESIGN.md §11). nil disables
 	// all recording at zero cost.
 	Obs *obs.Registry
-	// CostHints warm-starts the parallel scheduler's cost model: measured
-	// per-class execution costs from a previous run (Verifier.CostHints),
-	// keyed by the stable class key. Missing or non-positive entries fall
-	// back to a topology heuristic. Purely a scheduling hint — verdicts
-	// and reports never depend on it.
-	CostHints map[string]float64
 	// STFCache, when non-nil, is consulted by the sequential verifier
 	// before executing each equivalence class and fed every freshly
 	// executed STF — the reuse hook of the incremental daemon

@@ -47,8 +47,7 @@ type inVal struct {
 // sortedFront returns the wavefront keys in (router, stackKey) order.
 // Float MTBDD addition is not associative, so accumulating cells in map
 // iteration order would make results vary run to run; a fixed order keeps
-// every STF bit-for-bit reproducible — and identical across the sequential
-// and sharded execution paths.
+// every STF bit-for-bit reproducible.
 func sortedFront(front map[inKey]inVal) []inKey {
 	keys := make([]inKey, 0, len(front))
 	for k := range front {

@@ -12,8 +12,8 @@ import (
 )
 
 // installGovernance arms a manager with the engine's context poll and
-// node budget. Every manager the pipeline creates — the primary, each
-// execution shard's, each link-check shard's — goes through here, so a
+// node budget. Every manager the pipeline creates — the primary and each
+// link-check shard's — goes through here, so a
 // cancel or breach unwinds no matter which manager is doing the work.
 func installGovernance(m *mtbdd.Manager, opts Options) {
 	if ctx := opts.Ctx; ctx != nil {

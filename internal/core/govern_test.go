@@ -93,9 +93,9 @@ func (c *pollCancelCtx) Err() error {
 	return nil
 }
 
-// TestCancelMidParallelCheckPhase lets sharded execution finish, then
-// cancels while the parallel per-link check loop is running: the run
-// must return promptly with the remaining links listed as unchecked.
+// TestCancelMidParallelCheckPhase lets execution finish, then cancels
+// while the parallel per-link check loop is running: the run must return
+// promptly with the remaining links listed as unchecked.
 func TestCancelMidParallelCheckPhase(t *testing.T) {
 	spec, flows := wanWorkload(t)
 	ctx := &pollCancelCtx{Context: context.Background()}
@@ -147,18 +147,21 @@ func TestCancelMidSequentialChecks(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicContainment injects a panic into a sharded worker via
-// the test hook and requires it to surface as an error on Run — never as
-// a process crash — with the report marked incomplete.
+// TestWorkerPanicContainment injects a panic into a link-check worker
+// via the test hook and requires it to surface as an error on Run — never
+// as a process crash — with the report marked incomplete.
 func TestWorkerPanicContainment(t *testing.T) {
 	spec, err := config.ParseSpecString(paperex.Motivating)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := buildEngine(t, spec, topo.FailLinks, 1, Options{})
-	testExecHook = func(topo.Flow) { panic("injected test panic") }
-	defer func() { testExecHook = nil }()
+	testCheckHook = func(topo.DirLinkID) { panic("injected test panic") }
+	defer func() { testCheckHook = nil }()
 	v := NewParallelVerifier(eng, spec.Flows, 2)
+	if v.Err() != nil {
+		t.Fatalf("execution failed before the check pool ran: %v", v.Err())
+	}
 	rep, err := v.Run(spec.Props, spec.Delivered, 1.0)
 	if err == nil {
 		t.Fatal("worker panic did not surface as an error")

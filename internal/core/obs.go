@@ -22,7 +22,7 @@ import (
 // counters instead.
 
 // ManagerObsStats converts one manager's stats snapshot into the obs
-// record under the given name ("primary", "exec-shard.0", ...).
+// record under the given name ("primary", "check-shard.0", ...).
 func ManagerObsStats(name string, m *mtbdd.Manager) obs.ManagerStats {
 	st := m.Stats()
 	return obs.ManagerStats{
@@ -77,7 +77,7 @@ func RecordManagerSince(reg *obs.Registry, name string, m *mtbdd.Manager, since 
 	*since = cur
 }
 
-// workerCounter names a per-worker counter: "worker.3.flows_executed".
+// workerCounter names a per-worker counter: "worker.3.links_checked".
 func workerCounter(w int, name string) string {
 	return "worker." + strconv.Itoa(w) + "." + name
 }

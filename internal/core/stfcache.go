@@ -26,9 +26,6 @@ import (
 //   - Cache-served classes still count toward Report.FlowsExecuted; they
 //     are not counted in the exec.flows_executed obs counter, which keeps
 //     measuring real symbolic executions.
-//
-// Only the sequential pipeline (Workers <= 1) consults the cache; the
-// work-stealing shards never see it.
 type STFCache interface {
 	Lookup(e *Engine, rep topo.Flow) (*FlowSTF, bool)
 	Store(e *Engine, rep topo.Flow, stf *FlowSTF)

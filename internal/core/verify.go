@@ -160,7 +160,7 @@ type Verifier struct {
 	flows []topo.Flow
 	stfs  []*FlowSTF
 	// workers > 1 enables the concurrent link-checking pool (see
-	// CheckOverloadAll); 1 (or 0) is the exact sequential legacy path.
+	// CheckOverloadAll); 1 checks every link in the primary manager.
 	workers int
 	// err is the first fatal error hit while executing flows (cancel,
 	// deadline, unrecoverable budget breach, contained panic). Run
@@ -176,10 +176,7 @@ type Verifier struct {
 	// class, fanning the shared verdict/STF back out to the members.
 	classes []flowClass
 	classOf []int
-	// measured[i] is the created-node count of class i's execution — the
-	// cost model's training signal, exported by CostHints.
-	measured []float64
-	// sched summarizes the execution phase's scheduling (see SchedStats).
+	// sched summarizes the class execution (see SchedStats).
 	sched SchedStats
 }
 
@@ -203,20 +200,32 @@ func (v *Verifier) Err() error { return v.err }
 // budget breach stops the loop and is surfaced from Run (or Err) with
 // the flows executed so far intact.
 func NewVerifier(e *Engine, flows []topo.Flow) *Verifier {
-	v := newClassVerifier(e, flows, 1)
+	return NewParallelVerifier(e, flows, 1)
+}
+
+// NewParallelVerifier executes the flows exactly like NewVerifier — every
+// class once, in class order, in the engine's manager — and returns a
+// Verifier whose CheckOverloadAll fans the directed links out over the
+// given number of check workers (DESIGN.md §13). workers <= 1 checks
+// every link sequentially. Reports are identical at every worker count.
+func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
+	v := newClassVerifier(e, flows, workers)
 	v.buildClasses(nil)
 	return v
 }
 
 // newClassVerifier classifies flows on e into global-equivalence classes
 // and returns a Verifier with no class built yet: every constructor
-// starts here and ends in buildClasses.
+// starts here and ends in buildClasses. workers sizes the link-check
+// pool; values below 1 mean 1.
 func newClassVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
+	if workers < 1 {
+		workers = 1
+	}
 	v := &Verifier{e: e, flows: flows, workers: workers,
 		kreduceT: e.opts.Obs.Timer("check/kreduce")}
 	v.classes, v.classOf = classifyFlows(e, flows)
-	v.measured = make([]float64, len(v.classes))
-	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
+	v.sched = SchedStats{Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
 	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
 	return v
 }
@@ -225,10 +234,10 @@ func newClassVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 // class order — the order every report accumulates in — and puts each
 // class's STF into the engine's manager. pre is a per-class slot array
 // (nil means no slots): a non-nil slot holds a class already executed in
-// another manager (a shard worker's, a compose domain's) and is imported;
-// an empty slot is served by the STFCache or executed here. Both go
-// through the engine's budget ladder. The first fatal error stops the
-// loop and is kept for Run; the classes built so far stay intact.
+// another manager (a compose domain's) and is imported; an empty slot is
+// served by the STFCache or executed here. Both go through the engine's
+// budget ladder. The first fatal error stops the loop and is kept for
+// Run; the classes built so far stay intact.
 func (v *Verifier) buildClasses(pre []*FlowSTF) {
 	flowC := v.e.opts.Obs.Counter("exec.flows_executed")
 	for i := range v.classes {
@@ -249,16 +258,13 @@ func (v *Verifier) buildClass(i int, pre []*FlowSTF, flowC *obs.Counter) (*FlowS
 		src := pre[i]
 		return e.governed(rep, v.stfs, func() *FlowSTF { return importSTF(e.m, src) })
 	}
-	before := e.m.Stats().Created
 	cache := e.opts.STFCache
 	if cache != nil {
 		if s, ok := cache.Lookup(e, rep); ok {
 			// A hit is indistinguishable from an execution: the cache
-			// materialized canonical nodes in this manager, the class
+			// materialized canonical nodes in this manager, and the class
 			// counts as executed (FlowsExecuted is part of the report
-			// byte-identity contract), and the replay's created-node
-			// delta feeds the cost model like a measurement would.
-			v.measured[i] = float64(e.m.Stats().Created - before)
+			// byte-identity contract).
 			return s, nil
 		}
 	}
@@ -266,7 +272,6 @@ func (v *Verifier) buildClass(i int, pre []*FlowSTF, flowC *obs.Counter) (*FlowS
 	if err != nil {
 		return nil, err
 	}
-	v.measured[i] = float64(e.m.Stats().Created - before)
 	flowC.Inc()
 	if cache != nil {
 		cache.Store(e, rep, s)

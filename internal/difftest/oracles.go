@@ -159,7 +159,7 @@ func OracleViolationSets(c *Case) error {
 	return nil
 }
 
-// OracleParallelVsSequential checks that a sharded run (workers=3) renders
+// OracleParallelVsSequential checks that a run with 3 check workers renders
 // a byte-identical report to the sequential pipeline, wall-clock fields
 // excluded.
 func OracleParallelVsSequential(c *Case) error {

@@ -10,12 +10,11 @@ import (
 	"github.com/yu-verify/yu"
 )
 
-// TestWorkersByteIdentitySweep pins the scheduler's central guarantee on
+// TestWorkersByteIdentitySweep pins the check pool's central guarantee on
 // every checked-in example network: for each testdata spec and failure
 // budget, the canonical report rendering (FormatReport, which excludes
-// wall-clock fields) is identical at every worker count. Worker counts
-// above the class count exercise the spawn collapse; 8 workers on the
-// small specs exercises stealing from near-empty deques.
+// wall-clock fields) is identical at every worker count. 8 workers on the
+// small specs leaves some check workers with few or no links.
 func TestWorkersByteIdentitySweep(t *testing.T) {
 	root := filepath.Join("..", "..", "testdata")
 	entries, err := os.ReadDir(root)
@@ -50,10 +49,6 @@ func TestWorkersByteIdentitySweep(t *testing.T) {
 					if got := FormatReport(n.Topology(), rep); got != want {
 						t.Errorf("workers=%d report differs from sequential\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
 							w, want, w, got)
-					}
-					if rep.Sched.Workers > rep.FlowsExecuted {
-						t.Errorf("workers=%d: spawned %d goroutines for %d executed classes",
-							w, rep.Sched.Workers, rep.FlowsExecuted)
 					}
 				}
 			})

@@ -3,15 +3,15 @@ package mtbdd
 import "fmt"
 
 // Import rebuilds a foreign MTBDD — a node owned by another Manager — in
-// this Manager and returns the canonical local node. It is the bridge the
-// parallel verification pipeline uses to merge shard results: each worker
-// executes flows in a private Manager, and the primary Manager imports the
-// resulting STFs. Because both managers declare the same variables in the
-// same order, the imported node has the identical structure, and
-// hash-consing restores pointer-equality semantics in the destination:
-// two shards that computed the same function import to the same *Node, so
-// the link-local equivalence grouping of §5.3 keeps working after the
-// merge.
+// this Manager and returns the canonical local node. It is the bridge
+// between private managers: a link-check worker imports the STFs present
+// on its link from the primary Manager, and the compositional check engine
+// imports the STFs executed in domain managers. Because both managers
+// declare the same variables in the same order, the imported node has the
+// identical structure, and hash-consing restores pointer-equality
+// semantics in the destination: two managers that computed the same
+// function import to the same *Node, so the link-local equivalence
+// grouping of §5.3 keeps working after the import.
 //
 // The translation is memoized in a per-destination cache keyed by the
 // source node pointer (source pointers are unique across managers, so one

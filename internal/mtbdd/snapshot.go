@@ -4,20 +4,16 @@ import "fmt"
 
 // Snapshot is a read-only, manager-independent encoding of a set of MTBDD
 // roots: every reachable node flattened into children-first order, with
-// child links expressed as indices instead of pointers. It is the shared
-// import base of the parallel pipeline — built once from the primary
-// manager's guard layer, then replayed into any number of shard managers
-// concurrently.
+// child links expressed as indices instead of pointers. The daemon's warm
+// STF cache (internal/serve) keeps STFs in this form, and compose domains
+// exchange their interface summaries in it: built once from one manager,
+// then replayed into any number of others.
 //
 // The point is cost: a plain cross-manager Import re-walks the source DAG
-// per destination (recursive DFS, one pointer-map lookup per node per
-// shard). A Snapshot pays the DFS and the deduplication once; each
-// destination then runs ImportSnapshot, a single linear pass over dense
-// arrays with no hashing beyond the destination's own unique table. With
-// P shards the guard layer is traversed once, not P times — the
-// copy-on-write sharing of ISSUE 6(c): the snapshot is the shared
-// read-only base, and each shard materializes (writes) nodes into its
-// own arena only when it replays.
+// per destination (recursive DFS, one pointer-map lookup per node). A
+// Snapshot pays the DFS and the deduplication once; each destination then
+// runs ImportSnapshot, a single linear pass over dense arrays with no
+// hashing beyond the destination's own unique table.
 //
 // A Snapshot holds no reference to the source Manager and never mutates —
 // it is safe to share across goroutines without synchronization.
@@ -108,7 +104,7 @@ func (s *Snapshot) Index(n *Node) (uint32, bool) {
 // ImportSnapshot replays a snapshot into m and returns the translation
 // table: table[i] is the canonical local node for snapshot entry i, so a
 // source node n maps to table[s.Index(n)]. The replay is one linear pass —
-// no recursion, no per-shard DFS memo — and reserves slab capacity up
+// no recursion, no per-destination DFS memo — and reserves slab capacity up
 // front so a large guard layer lands in pre-allocated arenas. Like every
 // node-building operation it honors the manager's interrupt hook and node
 // budget.

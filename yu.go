@@ -69,8 +69,8 @@ type (
 	DirLinkID = topo.DirLinkID
 	// BudgetPolicy selects the response to an MTBDD node-budget breach.
 	BudgetPolicy = core.BudgetPolicy
-	// SchedStats summarizes the parallel scheduler's execution phase
-	// (workers spawned, chunks, steals, class dedup) — see Report.Sched.
+	// SchedStats summarizes the class execution (classes executed,
+	// global-equivalence dedup) — see Report.Sched.
 	SchedStats = core.SchedStats
 	// Metrics is the run-metrics registry for VerifyOptions.Obs: phase
 	// timings, per-cache MTBDD hit/miss counters, per-worker counters
@@ -80,9 +80,10 @@ type (
 	// the payload behind `yu -metrics=json`.
 	MetricsSnapshot = obs.Snapshot
 	// STFCache is the cross-run symbolic-execution cache hook consulted
-	// by the sequential pipeline (VerifyOptions.STFCache). Implementations
-	// must honor the contract documented on core.STFCache; the incremental
-	// daemon (internal/serve) is the canonical one.
+	// before each class execution (VerifyOptions.STFCache).
+	// Implementations must honor the contract documented on
+	// core.STFCache; the incremental daemon (internal/serve) is the
+	// canonical one.
 	STFCache = core.STFCache
 	// ExecEngine is the symbolic execution engine handed to STFCache
 	// callbacks (core.Engine; "Exec" avoids clashing with the Engine
@@ -233,10 +234,12 @@ type VerifyOptions struct {
 	DisableGlobalEquiv    bool
 	// Incremental enables incremental re-simulation (EngineEnumerate).
 	Incremental bool
-	// Workers is the parallelism degree for EngineYU: flows are executed
-	// on sharded MTBDD managers and links checked concurrently. 0 or 1
-	// selects the sequential pipeline; reports are identical either way
-	// (modulo wall-clock fields).
+	// Workers sizes the concurrent link-check pool of EngineYU: with
+	// Workers > 1 the overload check fans the directed links out over
+	// that many check workers, each with a private MTBDD manager. Flow
+	// classes are always executed once, in the primary manager. 0 or 1
+	// checks sequentially; reports are identical either way (modulo
+	// wall-clock fields).
 	Workers int
 	// Ctx, when non-nil, makes the run cancellable: cancellation or an
 	// expired deadline aborts within milliseconds and Verify returns
@@ -255,16 +258,12 @@ type VerifyOptions struct {
 	// including on partial/incomplete runs). nil disables collection
 	// with zero overhead.
 	Obs *Metrics
-	// CostHints warm-starts the parallel scheduler with measured per-class
-	// execution costs from a previous run (Report.CostHints). Scheduling
-	// only — verdicts and reports never depend on it.
-	CostHints map[string]float64
 	// STFCache, when non-nil, lets the run reuse symbolic execution
-	// results from previous runs (EngineYU, Workers <= 1 only): each
-	// equivalence class is offered to the cache before execution and
-	// stored after. Soundness is the cache's responsibility — see the
-	// core.STFCache contract. Reports remain byte-identical to uncached
-	// runs when the cache honors it.
+	// results from previous runs (EngineYU only): each equivalence class
+	// is offered to the cache before execution and stored after.
+	// Soundness is the cache's responsibility — see the core.STFCache
+	// contract. Reports remain byte-identical to uncached runs when the
+	// cache honors it.
 	STFCache STFCache
 	// Domains, when non-nil, turns on compositional verification
 	// (EngineYU only): the named router partition — which must be
@@ -310,13 +309,9 @@ type Report struct {
 	// DegradedFlows names flows verified by the bounded concrete
 	// fallback instead of symbolic execution (BudgetDegrade only).
 	DegradedFlows []string
-	// Sched summarizes the execution scheduler (EngineYU only): workers
-	// actually spawned, chunks, steals, and global-equivalence dedup hits.
+	// Sched summarizes the class execution (EngineYU only): classes
+	// executed and global-equivalence dedup hits.
 	Sched SchedStats
-	// CostHints is the measured per-class execution cost of this run
-	// (EngineYU only) — feed it back via VerifyOptions.CostHints to
-	// warm-start the scheduler of a subsequent run.
-	CostHints map[string]float64
 	// Modular summarizes the compositional pipeline when the run was
 	// domain-decomposed (VerifyOptions.Domains / AutoDomains); nil on
 	// monolithic runs and when composition fell back wholesale.
@@ -506,7 +501,7 @@ type Prepared struct {
 
 // Prepare runs route simulation and symbolic execution once under opts
 // (EngineYU only; the K/Mode/Flows overrides, Workers, governance, Obs,
-// CostHints, STFCache, Domains and AutoDomains are honored as in Verify)
+// STFCache, Domains and AutoDomains are honored as in Verify)
 // and returns the handle that answers queries from that run. A run cut
 // short by governance still yields a handle: Err reports why, and every
 // query answers with unchecked targets and that error. Other failures
@@ -563,7 +558,6 @@ func (n *Network) prepare(opts VerifyOptions, start time.Time) (*Prepared, error
 		OnBudget:              opts.OnBudget,
 		Configs:               n.spec.Configs,
 		Obs:                   opts.Obs,
-		CostHints:             opts.CostHints,
 		STFCache:              opts.STFCache,
 	})
 	execSpan := opts.Obs.Span("execute")
@@ -602,7 +596,6 @@ func (n *Network) prepareModular(p *Prepared, opts VerifyOptions, budget, checkK
 		Obs:                   opts.Obs,
 		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
 		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-		CostHints:             opts.CostHints,
 	})
 	p.routeTime = time.Since(composeStart)
 	opts.Obs.AddPhase("compose", p.routeTime)
@@ -728,7 +721,6 @@ func newReport(rep *core.Report, ver *core.Verifier, m *mtbdd.Manager, start tim
 		UncheckedDelivered: rep.UncheckedDelivered,
 		DegradedFlows:      rep.DegradedFlows,
 		Sched:              ver.SchedStats(),
-		CostHints:          ver.CostHints(),
 	}
 }
 
